@@ -1,13 +1,17 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Deliberately small: scalars and 2-D matrices, the dozen operations the
-translation model needs, and a tape replayed in reverse build order.
-Everything runs in double precision so finite-difference checks can be
-tight.
+Deliberately small: the dozen operations the translation model needs, on
+scalars, 2-D matrices or stacks of them with leading batch axes, and a tape
+replayed in reverse build order. Each node's backward closure receives the
+node's gradient from the tape and holds no reference to the node itself, so
+a dropped graph is freed by reference counting alone. Everything runs in
+double precision so finite-difference checks can be tight.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -108,7 +112,7 @@ class Tape:
     def replay(self):
         for node in reversed(self.nodes):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
 
 def _as_tensor(x):
@@ -138,72 +142,79 @@ def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     out_data = a.data + b.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             a.accumulate(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
             b.accumulate(_unbroadcast(g, b.data.shape))
 
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(out_data, (a, b), backward)
 
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     out_data = a.data * b.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             a.accumulate(_unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
             b.accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(out_data, (a, b), backward)
+
+
+def _swap(x):
+    return x.swapaxes(-1, -2)
 
 
 def matmul(a, b):
+    """Matrix product over the last two axes; leading axes broadcast.
+
+    A weight shared across a batch ([d, k] against [B, L, d]) gets its
+    gradient summed over the batch.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise DimensionError(
             f"matmul shapes do not agree: {a.data.shape} x {b.data.shape}"
         )
-    out_data = a.data @ b.data
+    try:
+        out_data = a.data @ b.data
+    except ValueError:
+        raise DimensionError(
+            f"matmul batch axes do not agree: {a.data.shape} x {b.data.shape}"
+        ) from None
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
-            a.accumulate(g @ b.data.T)
+            a.accumulate(_unbroadcast(g @ _swap(b.data), a.data.shape))
         if b.requires_grad:
-            b.accumulate(a.data.T @ g)
+            b.accumulate(_unbroadcast(_swap(a.data) @ g, b.data.shape))
 
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(out_data, (a, b), backward)
 
 
 def transpose(a):
+    """Swap the last two axes."""
     a = _as_tensor(a)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a.accumulate(out.grad.T)
+            a.accumulate(_swap(g))
 
-    out = _make(a.data.T, (a,), backward)
-    return out
+    return _make(_swap(a.data), (a,), backward)
 
 
 def relu(a):
     a = _as_tensor(a)
     mask = a.data > 0
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a.accumulate(out.grad * mask)
+            a.accumulate(g * mask)
 
-    out = _make(a.data * mask, (a,), backward)
-    return out
+    return _make(a.data * mask, (a,), backward)
 
 
 def softmax_rows(x):
@@ -213,28 +224,25 @@ def softmax_rows(x):
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
-            g = out.grad
             x.accumulate(s * (g - (g * s).sum(axis=-1, keepdims=True)))
 
-    out = _make(s, (x,), backward)
-    return out
+    return _make(s, (x,), backward)
 
 
 def embedding(table, ids):
-    """Gather rows of `table` (Tensor[V, d]) at integer positions `ids`."""
+    """Gather rows of `table` (Tensor[V, d]) at integer positions `ids` (any shape)."""
     ids = np.asarray(ids, dtype=np.intp)
     out_data = table.data[ids]
 
-    def backward():
+    def backward(g):
         if table.requires_grad:
             gt = np.zeros_like(table.data)
-            np.add.at(gt, ids, out.grad)
+            np.add.at(gt, ids, g)
             table.accumulate(gt)
 
-    out = _make(out_data, (table,), backward)
-    return out
+    return _make(out_data, (table,), backward)
 
 
 def layer_norm(x, gain, bias, eps=1e-6):
@@ -246,8 +254,7 @@ def layer_norm(x, gain, bias, eps=1e-6):
     xhat = (x.data - mu) * inv
     out_data = gain.data * xhat + bias.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if bias.requires_grad:
             bias.accumulate(_unbroadcast(g, bias.data.shape))
         if gain.requires_grad:
@@ -258,59 +265,61 @@ def layer_norm(x, gain, bias, eps=1e-6):
             m2 = (gx * xhat).mean(axis=-1, keepdims=True)
             x.accumulate(inv * (gx - m1 - xhat * m2))
 
-    out = _make(out_data, (x, gain, bias), backward)
-    return out
+    return _make(out_data, (x, gain, bias), backward)
 
 
 def cross_entropy_smoothed(logits, targets, smoothing):
     """Label-smoothed cross entropy, summed over rows.
 
     The target distribution is (1-eps) on the gold id plus eps spread
-    uniformly over the whole vocabulary. Returns a scalar Tensor.
+    uniformly over the whole vocabulary. `targets` has one id per logits
+    row (the shape of `logits` without its last axis); a negative id marks
+    a padding row, which adds nothing to the loss or the gradient. Returns
+    a scalar Tensor.
     """
     logits = _as_tensor(logits)
     targets = np.asarray(targets, dtype=np.intp)
-    n, v = logits.data.shape
-    if targets.shape != (n,):
+    v = logits.data.shape[-1]
+    if targets.shape != logits.data.shape[:-1]:
         raise DimensionError("one target id per logits row required")
-    q = np.full((n, v), smoothing / v)
-    q[np.arange(n), targets] += 1.0 - smoothing
+    real = (targets >= 0)[..., None]
+    q = np.full(logits.data.shape, smoothing / v)
+    rows = q.reshape(-1, v)
+    # a padding row's -1 lands on its last column; `real` zeroes the row
+    rows[np.arange(len(rows)), targets.reshape(-1)] += 1.0 - smoothing
+    q *= real
 
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logp = shifted - lse
     loss = -(q * logp).sum()
 
-    def backward():
+    def backward(g):
         if logits.requires_grad:
-            softmax = np.exp(logp)
-            logits.accumulate(float(out.grad) * (softmax - q))
+            logits.accumulate(float(g) * (np.exp(logp) * real - q))
 
-    out = _make(loss, (logits,), backward)
-    return out
+    return _make(loss, (logits,), backward)
 
 
 def sum_all(x):
     x = _as_tensor(x)
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
-            x.accumulate(np.full_like(x.data, float(out.grad)))
+            x.accumulate(np.full_like(x.data, float(g)))
 
-    out = _make(x.data.sum(), (x,), backward)
-    return out
+    return _make(x.data.sum(), (x,), backward)
 
 
 def mean_all(x):
     x = _as_tensor(x)
     n = x.data.size
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
-            x.accumulate(np.full_like(x.data, float(out.grad) / n))
+            x.accumulate(np.full_like(x.data, float(g) / n))
 
-    out = _make(x.data.mean(), (x,), backward)
-    return out
+    return _make(x.data.mean(), (x,), backward)
 
 
 def assert_finite(x, context="tensor", step=None):
@@ -369,23 +378,41 @@ def save_checkpoint(path, named_arrays):
             fh.write(arr.tobytes(order="C"))
 
 
+def _header_int(raw, field):
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ParseError(
+            f"checkpoint {field} is not a non-negative integer: "
+            f"{raw.decode(errors='replace')!r}"
+        )
+    return value
+
+
 def load_checkpoint(path):
     out = {}
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         header = fh.readline().split()
         if len(header) != 2 or header[0] != _CKPT_MAGIC:
             raise ParseError("not a checkpoint file")
-        count = int(header[1])
+        count = _header_int(header[1], "tensor count")
         for _ in range(count):
             fields = fh.readline().split()
             if len(fields) < 2:
                 raise ParseError("truncated checkpoint header entry")
-            name = fields[0].decode()
-            ndim = int(fields[1])
-            shape = tuple(int(d) for d in fields[2:2 + ndim])
-            n = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * n)
-            if len(buf) != 8 * n:
+            name = fields[0].decode(errors="replace")
+            ndim = _header_int(fields[1], f"ndim of {name!r}")
+            if len(fields) != 2 + ndim:
+                raise ParseError(f"checkpoint entry {name!r} lists {len(fields) - 2} dims, "
+                                 f"ndim is {ndim}")
+            shape = tuple(_header_int(d, f"dim {i} of {name!r}")
+                          for i, d in enumerate(fields[2:]))
+            n = math.prod(shape)
+            # checked before reading, so a corrupted dim cannot ask for a huge buffer
+            if 8 * n > size - fh.tell():
                 raise ParseError(f"truncated tensor data for {name!r}")
-            out[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            out[name] = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape).copy()
     return out

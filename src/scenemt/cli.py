@@ -335,11 +335,11 @@ def cmd_train(args, argv):
     return 0
 
 
-def _decode_cfg(args, model):
+def _decode_cfg(args):
     return DecodeConfig(
         beam=args.beam,
         alpha=args.alpha,
-        max_len=min(args.max_len, model.cfg.max_len - 1),
+        max_len=args.max_len,
     )
 
 
@@ -348,7 +348,7 @@ def cmd_translate(args, argv):
     model, src_vocab, trg_vocab = _load_model_dir(args.model)
     sentences = _read_sentences(args.src)
     mask_table = _build_spec_masks(model.head_specs, sentences, args)
-    cfg = _decode_cfg(args, model)
+    cfg = _decode_cfg(args)
     hyps = []
     for i, tokens in enumerate(sentences):
         if not tokens:
@@ -376,7 +376,7 @@ def cmd_split(args, argv):
         )
     sentences = _read_sentences(args.src)
     covers = _load_covers(args, len(sentences))
-    cfg = _decode_cfg(args, model)
+    cfg = _decode_cfg(args)
     outputs = []
     for tokens, cover in zip(sentences, covers):
         if not tokens:

@@ -251,9 +251,17 @@ class MaskSpec:
 
 
 def write_mask(mask):
+    # each distinct value is formatted once; values are told apart by their
+    # bits, so -0.0 and 0.0 keep their own text
+    values = np.ascontiguousarray(mask.values, dtype=np.float64)
+    _, first, where = np.unique(
+        values.view(np.int64), return_index=True, return_inverse=True
+    )
+    distinct = values.reshape(-1)[first].tolist()
+    text = np.array([f"{v:.9g}" for v in distinct], dtype=object)
+    rows = text[where.reshape(values.shape)].tolist()
     lines = [f"M {mask.rows} {mask.cols} {mask.family}"]
-    for row in mask.values:
-        lines.append(" ".join(f"{v:.9g}" for v in row))
+    lines.extend(" ".join(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 

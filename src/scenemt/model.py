@@ -10,7 +10,8 @@ dot-product attention.
 
 Training is a single deterministic stream: Adam on a Noam-shaped learning
 rate, label-smoothed per-token cross entropy, seeded parameter init and
-batch order. Decoding is beam search with GNMT-style length normalization.
+batch order, with each step's pairs padded into one batch and run as one
+graph. Decoding is beam search with GNMT-style length normalization.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DimensionError, NumericError
 from .masks import MaskSpec
-from .textpipe import BOS, EOS
+from .textpipe import BOS, EOS, PAD
 
-NEG_BIAS = -1e30  # additive pre-softmax bias for causally blocked positions
+NEG_BIAS = -1e30  # additive pre-softmax bias for causally blocked and padded keys
 
 
 # -- configuration ---------------------------------------------------------------
@@ -134,63 +135,79 @@ class DecodeConfig:
 
 
 # -- attention operations ----------------------------------------------------------
+#
+# Each routine takes one sentence as 2-D [L, d] tensors, or a padded batch as
+# [B, L, d] tensors together with `lengths`, each sentence's true key length.
+# In a batch, keys at or past a sentence's length get NEG_BIAS before the
+# softmax, so they receive exactly zero weight.
 
 
-def _check_mask(mask, size):
+def _check_mask(mask, shape):
     mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != (size, size):
+    if mask.shape != shape:
         raise DimensionError(
-            f"mask shape {mask.shape} does not match source length {size}"
+            f"mask shape {mask.shape} does not match source length {shape[-1]}"
         )
     if mask.min(initial=0.0) < 0.0 or mask.max(initial=0.0) > 1.0:
         raise DimensionError("mask values must lie in [0, 1]")
     return mask
 
 
-def vanilla_attention(q, k, v, causal=False):
-    """Scaled dot-product attention; optionally causally blocked."""
-    d_k = q.shape[1]
+def _key_padding_bias(lengths, n):
+    """[B, 1, n] additive bias hiding the keys past each sentence's length."""
+    return np.where(np.arange(n) >= np.asarray(lengths)[:, None, None], NEG_BIAS, 0.0)
+
+
+def _attention_logits(q, k, d_k, causal=False, lengths=None):
     logits = ad.matmul(q, ad.transpose(k)) * (1.0 / math.sqrt(d_k))
-    if causal:
-        logits = ad.add(logits, Tensor(_causal_bias(q.shape[0])))
-    return ad.matmul(ad.softmax_rows(logits), v)
+    bias = _causal_bias(q.shape[-2]) if causal else None
+    if lengths is not None:
+        padding = _key_padding_bias(lengths, k.shape[-2])
+        bias = padding if bias is None else bias + padding
+    return logits if bias is None else ad.add(logits, Tensor(bias))
 
 
-def sasa_attention(q, k, v, mask):
+def vanilla_attention(q, k, v, causal=False, lengths=None):
+    """Scaled dot-product attention; optionally causally blocked."""
+    s = ad.softmax_rows(_attention_logits(q, k, q.shape[-1], causal, lengths))
+    return ad.matmul(s, v)
+
+
+def sasa_attention(q, k, v, mask, lengths=None):
     """Self-attention whose post-softmax weights are masked elementwise.
 
     No renormalization happens after masking, so a row's weights sum to at
     most 1 (exactly 1 only under an all-ones mask row).
     """
-    mask = _check_mask(mask, q.shape[0])
-    d_k = q.shape[1]
-    s = ad.softmax_rows(ad.matmul(q, ad.transpose(k)) * (1.0 / math.sqrt(d_k)))
+    mask = _check_mask(mask, q.shape[:-1] + (q.shape[-2],))
+    s = ad.softmax_rows(_attention_logits(q, k, q.shape[-1], lengths=lengths))
     return ad.matmul(ad.mul(s, Tensor(mask)), v)
 
 
-def sacra_attention_weights(q_dec, x_enc, d_k, mask):
+def sacra_attention_weights(q_dec, x_enc, d_k, mask, lengths=None):
     """Attention weights over scene-aggregated keys.
 
     Keys are (mask @ x_enc) / L_src: each source position's key is the sum
     of encoder outputs over the positions its mask row admits, scaled by the
     source length. Source tokens with identical mask rows get identical keys
     and therefore identical weight columns. Queries must be d_model wide.
+    In a padded batch L_src is each sentence's true length, not the padded one.
     """
-    l_src = x_enc.shape[0]
-    mask = _check_mask(mask, l_src)
-    if q_dec.shape[1] != x_enc.shape[1]:
+    l_src = x_enc.shape[-2]
+    mask = _check_mask(mask, x_enc.shape[:-1] + (l_src,))
+    if q_dec.shape[-1] != x_enc.shape[-1]:
         raise DimensionError(
             "query width must equal encoder width for aggregated keys"
         )
-    k_tilde = ad.matmul(Tensor(mask), x_enc) * (1.0 / l_src)
-    return ad.softmax_rows(
-        ad.matmul(q_dec, ad.transpose(k_tilde)) * (1.0 / math.sqrt(d_k))
-    )
+    scale = 1.0 / l_src if lengths is None else 1.0 / np.asarray(lengths)[:, None, None]
+    k_tilde = ad.matmul(Tensor(mask), x_enc) * scale
+    return ad.softmax_rows(_attention_logits(q_dec, k_tilde, d_k, lengths=lengths))
 
 
-def sacra_attention(q_dec, x_enc, v, mask):
+def sacra_attention(q_dec, x_enc, v, mask, lengths=None):
     """Cross-attention over scene-aggregated keys; scaling uses the value width."""
-    return ad.matmul(sacra_attention_weights(q_dec, x_enc, v.shape[1], mask), v)
+    weights = sacra_attention_weights(q_dec, x_enc, v.shape[-1], mask, lengths)
+    return ad.matmul(weights, v)
 
 
 _CAUSAL_CACHE = {}
@@ -200,6 +217,11 @@ def _causal_bias(n):
     if n not in _CAUSAL_CACHE:
         _CAUSAL_CACHE[n] = np.triu(np.full((n, n), NEG_BIAS), k=1)
     return _CAUSAL_CACHE[n]
+
+
+def _lengths(ids):
+    """True lengths of a PAD-padded [B, L] id batch; None for one sentence."""
+    return None if ids.ndim == 1 else (ids != PAD).sum(axis=-1)
 
 
 def sinusoidal_positions(max_len, d_model):
@@ -321,14 +343,19 @@ class Model:
         self.params[f"{prefix}.ffn.b2"] = Tensor(np.zeros(d), requires_grad=True)
 
     # forward pass -----------------------------------------------------------------
+    #
+    # encode, decode and forward take one sentence as a list of ids, or a
+    # batch as a [B, L] id array padded at the end with PAD, whose masks are
+    # [B, L, L] arrays padded with zeros (see pad_batch).
 
     def _embed(self, table, ids):
-        if len(ids) > self.cfg.max_len:
+        n = ids.shape[-1]
+        if n > self.cfg.max_len:
             raise DimensionError(
-                f"sequence of {len(ids)} exceeds max length {self.cfg.max_len}"
+                f"sequence of {n} exceeds max length {self.cfg.max_len}"
             )
         x = ad.embedding(table, ids) * math.sqrt(self.cfg.d_model)
-        return ad.add(x, Tensor(self.positions[: len(ids)]))
+        return ad.add(x, Tensor(self.positions[:n]))
 
     def _ffn(self, prefix, x):
         p = self.params
@@ -339,21 +366,23 @@ class Model:
         p = self.params
         return ad.layer_norm(ad.add(x, sub), p[f"{prefix}.g"], p[f"{prefix}.b"])
 
-    def _mask_for(self, masks, label, length):
+    def _mask_for(self, masks, label, shape):
         if label not in masks:
             raise ConfigError(f"missing mask {label!r} for a configured head")
         mask = np.asarray(masks[label])
-        if mask.shape != (length, length):
+        if mask.shape != shape:
             raise DimensionError(
-                f"mask {label!r} has shape {mask.shape}, source length is {length}"
+                f"mask {label!r} has shape {mask.shape}, expected {shape}"
             )
         return mask
 
     def encode(self, src_ids, masks=None):
         masks = masks or {}
         p = self.params
-        L = len(src_ids)
-        x = self._embed(p["src_emb"], src_ids)
+        ids = np.asarray(src_ids, dtype=np.intp)
+        lengths = _lengths(ids)
+        mask_shape = ids.shape + ids.shape[-1:]
+        x = self._embed(p["src_emb"], ids)
         for l in range(self.cfg.enc_layers):
             attn = None
             for h in range(self.cfg.heads):
@@ -363,20 +392,28 @@ class Model:
                 v = ad.matmul(x, p[f"{pre}.wv"])
                 label = self.enc_masked.get((l, h))
                 if label is None:
-                    o = vanilla_attention(q, k, v)
+                    o = vanilla_attention(q, k, v, lengths=lengths)
                 else:
-                    o = sasa_attention(q, k, v, self._mask_for(masks, label, L))
+                    mask = self._mask_for(masks, label, mask_shape)
+                    o = sasa_attention(q, k, v, mask, lengths)
                 contrib = ad.matmul(o, p[f"{pre}.wo"])
                 attn = contrib if attn is None else ad.add(attn, contrib)
             x = self._sublayer_norm(f"enc.{l}.ln1", x, attn)
             x = self._sublayer_norm(f"enc.{l}.ln2", x, self._ffn(f"enc.{l}", x))
         return x
 
-    def decode(self, trg_in_ids, enc_out, masks=None):
+    def decode(self, trg_in_ids, enc_out, masks=None, src_lengths=None):
+        """Logits for each target position.
+
+        For a padded batch, `src_lengths` holds each sentence's true source
+        length (forward passes it); for one sentence it stays None.
+        """
         masks = masks or {}
         p = self.params
-        l_src = enc_out.shape[0]
-        y = self._embed(p["trg_emb"], trg_in_ids)
+        ids = np.asarray(trg_in_ids, dtype=np.intp)
+        trg_lengths = _lengths(ids)
+        mask_shape = enc_out.shape[:-1] + enc_out.shape[-2:-1]
+        y = self._embed(p["trg_emb"], ids)
         for l in range(self.cfg.dec_layers):
             attn = None
             for h in range(self.cfg.heads):
@@ -384,7 +421,8 @@ class Model:
                 q = ad.matmul(y, p[f"{pre}.wq"])
                 k = ad.matmul(y, p[f"{pre}.wk"])
                 v = ad.matmul(y, p[f"{pre}.wv"])
-                contrib = ad.matmul(vanilla_attention(q, k, v, causal=True), p[f"{pre}.wo"])
+                o = vanilla_attention(q, k, v, causal=True, lengths=trg_lengths)
+                contrib = ad.matmul(o, p[f"{pre}.wo"])
                 attn = contrib if attn is None else ad.add(attn, contrib)
             y = self._sublayer_norm(f"dec.{l}.ln1", y, attn)
 
@@ -392,16 +430,14 @@ class Model:
             for h in range(self.cfg.heads):
                 pre = f"dec.{l}.cross.{h}"
                 v = ad.matmul(enc_out, p[f"{pre}.wv"])
+                q = ad.matmul(y, p[f"{pre}.wq"])
                 label = self.cross_masked.get((l, h))
                 if label is None:
-                    q = ad.matmul(y, p[f"{pre}.wq"])
                     k = ad.matmul(enc_out, p[f"{pre}.wk"])
-                    o = vanilla_attention(q, k, v)
+                    o = vanilla_attention(q, k, v, lengths=src_lengths)
                 else:
-                    q = ad.matmul(y, p[f"{pre}.wq"])
-                    o = sacra_attention(
-                        q, enc_out, v, self._mask_for(masks, label, l_src)
-                    )
+                    mask = self._mask_for(masks, label, mask_shape)
+                    o = sacra_attention(q, enc_out, v, mask, src_lengths)
                 contrib = ad.matmul(o, p[f"{pre}.wo"])
                 cross = contrib if cross is None else ad.add(cross, contrib)
             y = self._sublayer_norm(f"dec.{l}.ln2", y, cross)
@@ -409,7 +445,8 @@ class Model:
         return ad.add(ad.matmul(y, p["out.w"]), p["out.b"])
 
     def forward(self, src_ids, trg_in_ids, masks=None):
-        return self.decode(trg_in_ids, self.encode(src_ids, masks), masks)
+        src_lengths = _lengths(np.asarray(src_ids))
+        return self.decode(trg_in_ids, self.encode(src_ids, masks), masks, src_lengths)
 
     # persistence -------------------------------------------------------------------
 
@@ -452,36 +489,70 @@ class TrainResult:
     stopped_early: bool = False
 
 
+ACCURACY_CHUNK = 64  # pairs per forward pass in token_accuracy
+
+
+def pad_batch(model, pairs, pair_masks):
+    """Pad (src_ids, trg_ids) pairs and their mask dicts into one batch.
+
+    Returns (src, trg_in, gold, masks): src [B, S] and trg_in [B, T] ids
+    padded with PAD (trg_in starts with BOS), gold [B, T] target ids ending
+    in EOS and padded with -1 (rows the loss skips), and for each label a
+    configured head uses, the masks zero-padded to [B, S, S].
+    """
+    n = len(pairs)
+    s_len = max(len(src) for src, _ in pairs)
+    t_len = max(len(trg) for _, trg in pairs) + 1
+    src_b = np.full((n, s_len), PAD, dtype=np.intp)
+    trg_in = np.full((n, t_len), PAD, dtype=np.intp)
+    gold = np.full((n, t_len), -1, dtype=np.intp)
+    labels = sorted(set(model.enc_masked.values()) | set(model.cross_masked.values()))
+    masks = {label: np.zeros((n, s_len, s_len)) for label in labels}
+    for b, ((src, trg), pm) in enumerate(zip(pairs, pair_masks)):
+        ls, lt = len(src), len(trg) + 1
+        src_b[b, :ls] = src
+        trg_in[b, :lt] = [BOS, *trg]
+        gold[b, :lt] = [*trg, EOS]
+        for label, batch_mask in masks.items():
+            batch_mask[b, :ls, :ls] = model._mask_for(pm, label, (ls, ls))
+    return src_b, trg_in, gold, masks
+
+
 def token_accuracy(model, pairs, mask_provider=None):
     """Teacher-forced argmax accuracy over all target tokens."""
     provider = mask_provider or (lambda i: {})
     correct = total = 0
     with ad.no_grad():
-        for i, (src, trg) in enumerate(pairs):
-            logits = model.forward(src, [BOS] + list(trg), provider(i))
-            pred = logits.data.argmax(axis=1)
-            gold = np.array(list(trg) + [EOS])
-            correct += int((pred == gold).sum())
-            total += len(gold)
+        for start in range(0, len(pairs), ACCURACY_CHUNK):
+            chunk = range(start, min(start + ACCURACY_CHUNK, len(pairs)))
+            src, trg_in, gold, masks = pad_batch(
+                model, [pairs[i] for i in chunk], [provider(i) for i in chunk]
+            )
+            pred = model.forward(src, trg_in, masks).data.argmax(axis=-1)
+            real = gold >= 0
+            correct += int((pred == gold)[real].sum())
+            total += int(real.sum())
     return correct / total
 
 
 def train(pairs, model_cfg, train_cfg, head_specs=(), mask_provider=None):
     """Train on (src_ids, trg_ids) pairs; deterministic given the seed.
 
-    Raises ConfigError before the first step if any pair lacks a mask for a
-    configured head spec, and NumericError (with the step index) if the loss
-    goes non-finite.
+    Each step runs one forward and one backward pass over the whole batch,
+    padded with pad_batch. Raises ConfigError before the first step if any
+    pair lacks a mask for a configured head spec or holds the reserved PAD
+    id, and NumericError (with the step index) if the loss goes non-finite.
     """
     provider = mask_provider or (lambda i: {})
     labels = {spec.label for spec in head_specs}
-    if labels:
-        for i in range(len(pairs)):
-            missing = labels - set(provider(i))
-            if missing:
-                raise ConfigError(
-                    f"pair {i} lacks masks for head specs: {sorted(missing)}"
-                )
+    for i, (src, trg) in enumerate(pairs):
+        if PAD in src or PAD in trg:
+            raise ConfigError(f"pair {i} holds the reserved padding id {PAD}")
+        missing = labels - set(provider(i))
+        if missing:
+            raise ConfigError(
+                f"pair {i} lacks masks for head specs: {sorted(missing)}"
+            )
 
     model = Model(model_cfg, head_specs, seed=train_cfg.seed)
     batch_rng = np.random.default_rng(train_cfg.seed + 1)
@@ -491,19 +562,14 @@ def train(pairs, model_cfg, train_cfg, head_specs=(), mask_provider=None):
 
     result = TrainResult(model, losses=[])
     for step in range(1, train_cfg.steps + 1):
-        idx = batch_rng.integers(0, len(pairs), size=train_cfg.batch_size)
+        idx = [int(i) for i in batch_rng.integers(0, len(pairs), size=train_cfg.batch_size)]
         model.zero_grads()
-        total = None
-        n_tokens = 0
-        for i in idx:
-            src, trg = pairs[i]
-            logits = model.forward(src, [BOS] + list(trg), provider(int(i)))
-            pair_loss = ad.cross_entropy_smoothed(
-                logits, list(trg) + [EOS], train_cfg.label_smoothing
-            )
-            total = pair_loss if total is None else ad.add(total, pair_loss)
-            n_tokens += len(trg) + 1
-        loss = total * (1.0 / n_tokens)
+        src, trg_in, gold, masks = pad_batch(
+            model, [pairs[i] for i in idx], [provider(i) for i in idx]
+        )
+        logits = model.forward(src, trg_in, masks)
+        total = ad.cross_entropy_smoothed(logits, gold, train_cfg.label_smoothing)
+        loss = total * (1.0 / int((gold >= 0).sum()))
         loss_value = loss.item()
         if not math.isfinite(loss_value):
             raise NumericError("loss went non-finite", step=step)
@@ -618,8 +684,13 @@ def log_softmax(row):
 
 
 def translate(model, src_ids, masks=None, cfg=None, greedy=False):
-    """Decode one source sentence into target ids (without BOS/EOS)."""
+    """Decode one source sentence into target ids (without BOS/EOS).
+
+    The decode length is capped at the model's max_len - 1, so the longest
+    prefix (BOS plus the tokens so far) still fits the position table.
+    """
     cfg = cfg or DecodeConfig()
+    cfg = replace(cfg, max_len=min(cfg.max_len, model.cfg.max_len - 1))
     with ad.no_grad():
         enc_out = model.encode(src_ids, masks)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scenemt import autodiff as ad
-from scenemt.errors import DimensionError
+from scenemt.errors import DimensionError, ParseError
 
 
 def test_matmul_identity():
@@ -31,6 +31,52 @@ def test_matmul_gradient_matches_finite_differences():
 
     assert ad.grad_check(lambda t: ad.sum_all(ad.matmul(t, b)), a) < 1e-5
     assert ad.grad_check(lambda t: ad.sum_all(ad.matmul(a, t)), b) < 1e-5
+
+
+def test_matmul_batched_matches_per_item_products():
+    rng = np.random.default_rng(43)
+    a = ad.Tensor(rng.normal(size=(3, 4, 5)))
+    w = ad.Tensor(rng.normal(size=(5, 2)))
+    b = ad.Tensor(rng.normal(size=(3, 5, 6)))
+    shared, stacked = ad.matmul(a, w).data, ad.matmul(a, b).data
+    for i in range(3):
+        np.testing.assert_array_equal(shared[i], a.data[i] @ w.data)
+        np.testing.assert_array_equal(stacked[i], a.data[i] @ b.data[i])
+
+
+def test_matmul_batched_gradients_match_finite_differences():
+    # a [d, k] weight shared across the batch gets the batch-summed gradient
+    rng = np.random.default_rng(44)
+    a = ad.Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+    c = ad.Tensor(rng.normal(size=(3, 2, 4)))
+    r = ad.Tensor(rng.normal(size=(3, 4, 4)))
+
+    def loss(_):
+        return ad.sum_all(ad.mul(ad.matmul(ad.matmul(a, w), c), r))
+
+    assert ad.grad_check(loss, a) < 1e-6
+    assert ad.grad_check(loss, w) < 1e-6
+    w.zero_grad()
+    ad.sum_all(ad.matmul(a, w)).backward()
+    np.testing.assert_allclose(w.grad, sum(x.T @ np.ones((4, 2)) for x in a.data), rtol=1e-12)
+
+
+def test_matmul_batch_axes_must_agree():
+    with pytest.raises(DimensionError):
+        ad.matmul(ad.Tensor(np.ones((2, 3, 4))), ad.Tensor(np.ones((3, 4, 5))))
+    with pytest.raises(DimensionError):
+        ad.matmul(ad.Tensor(np.ones(4)), ad.Tensor(np.ones((4, 5))))
+
+
+def test_transpose_swaps_last_two_axes():
+    rng = np.random.default_rng(45)
+    x = ad.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    out = ad.transpose(x)
+    assert out.shape == (2, 4, 3)
+    np.testing.assert_array_equal(out.data[1], x.data[1].T)
+    w = ad.Tensor(rng.normal(size=(2, 4, 3)))
+    assert ad.grad_check(lambda t: ad.sum_all(ad.mul(ad.transpose(t), w)), x) < 1e-9
 
 
 def test_matmul_associative_on_well_conditioned_inputs():
@@ -125,6 +171,24 @@ def test_cross_entropy_uniform_logits_is_log_vocab():
     np.testing.assert_allclose(loss.data / 4, np.log(12), rtol=1e-12)
 
 
+def test_cross_entropy_skips_padding_rows():
+    # negative targets mark padding: the loss and gradient equal those of
+    # the real rows alone
+    rng = np.random.default_rng(10)
+    logits = rng.normal(size=(2, 3, 6))
+    targets = np.array([[2, 0, -1], [5, -1, -1]])
+    x = ad.Tensor(logits, requires_grad=True)
+    loss = ad.cross_entropy_smoothed(x, targets, 0.1)
+    loss.backward()
+    real = ad.Tensor(np.stack([logits[0, 0], logits[0, 1], logits[1, 0]]), requires_grad=True)
+    expected = ad.cross_entropy_smoothed(real, [2, 0, 5], 0.1)
+    expected.backward()
+    assert loss.item() == pytest.approx(expected.item(), rel=1e-14)
+    np.testing.assert_array_equal(x.grad[targets < 0], 0.0)
+    np.testing.assert_allclose(x.grad[targets >= 0], real.grad, rtol=1e-14)
+    assert ad.grad_check(lambda t: ad.cross_entropy_smoothed(t, targets, 0.1), x) < 1e-6
+
+
 def test_cross_entropy_gradient():
     rng = np.random.default_rng(9)
     x = ad.Tensor(rng.normal(size=(3, 6)), requires_grad=True)
@@ -175,3 +239,32 @@ def test_checkpoint_bytes_are_deterministic(tmp_path):
     ad.save_checkpoint(p1, arrs)
     ad.save_checkpoint(p2, arrs)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _header_case(tmp_path, text):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(text.encode() + np.zeros(4).tobytes())
+    return path
+
+
+@pytest.mark.parametrize(
+    "header,field",
+    [
+        ("SCKPT two\nw 1 4\n", "tensor count"),
+        ("SCKPT -1\nw 1 4\n", "tensor count"),
+        ("SCKPT 1\nw x 4\n", "ndim of 'w'"),
+        ("SCKPT 1\nw 1 4.5\n", "dim 0 of 'w'"),
+        ("SCKPT 1\nw 2 2 -2\n", "dim 1 of 'w'"),
+    ],
+)
+def test_checkpoint_header_fields_are_parse_errors(tmp_path, header, field):
+    with pytest.raises(ParseError, match=field):
+        ad.load_checkpoint(_header_case(tmp_path, header))
+
+
+def test_checkpoint_dims_must_match_ndim_and_data(tmp_path):
+    with pytest.raises(ParseError, match="lists 1 dims, ndim is 2"):
+        ad.load_checkpoint(_header_case(tmp_path, "SCKPT 1\nw 2 4\n"))
+    # a dim far past the file's size is refused before any read
+    with pytest.raises(ParseError, match="truncated tensor data"):
+        ad.load_checkpoint(_header_case(tmp_path, "SCKPT 1\nw 1 1000000000000000\n"))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scenemt import masks
 from scenemt.errors import AlignmentError, ConfigError, DimensionError
@@ -381,3 +383,34 @@ class TestMaskFiles:
         ):
             assert mask.values.min() >= 0.0
             assert mask.values.max() <= 1.0
+
+
+def per_value_write_mask(mask):
+    """Reference: the mask-file text with every value formatted on its own."""
+    lines = [f"M {mask.rows} {mask.cols} {mask.family}"]
+    for row in mask.values:
+        lines.append(" ".join(f"{v:.9g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteMaskText:
+    def test_every_family_matches_per_value_format(self, two_scene_cover):
+        rng = np.random.default_rng(21)
+        ud = random_ud_graph(9, rng)
+        for mask in (
+            binary_scene_mask(two_scene_cover),
+            scaled_scene_mask(two_scene_cover, 0.1),
+            normal_scene_mask(two_scene_cover, 0.5),
+            pascal_mask(ud),
+            udiscal_mask(ud),
+            expand_to_subwords(udiscal_mask(ud), Alignment.from_counts([1, 2] * 4 + [3])),
+        ):
+            assert write_mask(mask) == per_value_write_mask(mask), mask.family
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)))
+    def test_any_float_matrix_matches_per_value_format(self, values):
+        # signed zeros, NaN and infinities included
+        mask = Mask(values, "scaled")
+        assert write_mask(mask) == per_value_write_mask(mask)

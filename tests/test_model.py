@@ -1,5 +1,6 @@
 """Attention heads, schedule, training loop, and beam search."""
 
+import gc
 import itertools
 import math
 
@@ -25,7 +26,7 @@ from scenemt.model import (
     translate,
     vanilla_attention,
 )
-from scenemt.textpipe import BOS, EOS
+from scenemt.textpipe import BOS, EOS, PAD
 from scenemt.toydata import copy_task
 from scenemt.masks import binary_scene_mask
 
@@ -432,6 +433,40 @@ class TestTraining:
             train(pairs, cfg, TrainConfig(steps=1, batch_size=2, seed=0),
                   [spec], lambda i: {})
 
+    def test_step_one_loss_is_the_per_pair_sum_over_the_seeded_batch(self, monkeypatch):
+        pairs, vocab, provider = self.make_task()
+        cfg = ModelConfig(src_vocab=len(vocab), trg_vocab=len(vocab),
+                          d_model=8, enc_layers=4, dec_layers=4, heads=2,
+                          d_ff=16, max_len=16)
+        specs = [M.sasa_default(), M.sacra_default()]
+        # a non-zero output layer makes the step-1 loss depend on every pair
+        out_w = np.random.default_rng(5).normal(size=(8, len(vocab)))
+        build = Model._build
+
+        def build_with_output(self):
+            build(self)
+            self.params["out.w"].data[:] = out_w
+
+        monkeypatch.setattr(Model, "_build", build_with_output)
+        model = Model(cfg, specs, seed=4)
+        total = tokens = 0
+        for i in np.random.default_rng(4 + 1).integers(0, len(pairs), size=5):
+            src, trg = pairs[i]
+            logits = model.forward(src, [BOS] + trg, provider(int(i)))
+            total += ad.cross_entropy_smoothed(logits, trg + [EOS], 0.1).item()
+            tokens += len(trg) + 1
+        r = train(pairs, cfg, TrainConfig(steps=1, batch_size=5, seed=4), specs, provider)
+        assert abs(r.losses[0] - total / tokens) <= 1e-12
+
+    def test_padding_id_in_a_pair_is_rejected(self):
+        pairs, vocab, _ = self.make_task()
+        pairs[3] = (pairs[3][0] + [PAD], pairs[3][1])
+        cfg = ModelConfig(src_vocab=len(vocab), trg_vocab=len(vocab),
+                          d_model=8, enc_layers=1, dec_layers=1, heads=2,
+                          d_ff=16, max_len=16)
+        with pytest.raises(ConfigError, match="pair 3 holds the reserved padding id"):
+            train(pairs, cfg, TrainConfig(steps=1, batch_size=2, seed=0))
+
     def test_loss_decreases_on_tiny_run(self):
         pairs, vocab, provider = self.make_task()
         cfg = ModelConfig(src_vocab=len(vocab), trg_vocab=len(vocab),
@@ -455,6 +490,124 @@ class TestTraining:
                           d_ff=16, max_len=16)
         with pytest.raises(NumericError, match=r"step \d+"):
             train(pairs, cfg, TrainConfig(steps=50, batch_size=4, seed=3))
+
+
+def mixed_batch(rng, n=6, vocab=8):
+    """Pairs of source lengths 3-8 (all present) with random masks in [0, 1]."""
+    lengths = [3, 8] + [int(x) for x in rng.integers(3, 9, size=n - 2)]
+    pairs, masks = [], []
+    for L in lengths:
+        src = [int(x) for x in rng.integers(4, vocab, size=L)]
+        trg = [int(x) for x in rng.integers(4, vocab, size=int(rng.integers(1, 9)))]
+        m = (rng.random((L, L)) > 0.4) * rng.random((L, L))
+        np.fill_diagonal(m, 1.0)
+        pairs.append((src, trg))
+        masks.append({"sasa": m, "sacra": m.T.copy()})
+    return pairs, masks
+
+
+class TestBatchedForward:
+    """One padded batch against the sum of single-sentence passes."""
+
+    def setup_method(self):
+        self.cfg = tiny_config(enc_layers=4, dec_layers=4)
+        self.model = self.build([M.sasa_default(), M.sacra_default()])
+        self.pairs, self.masks = mixed_batch(np.random.default_rng(32))
+
+    def build(self, specs=()):
+        # the output layer starts at zero, which would make every logit 0
+        model = Model(self.cfg, specs, seed=31)
+        out_w = model.params["out.w"].data
+        out_w[:] = np.random.default_rng(35).normal(size=out_w.shape)
+        return model
+
+    def test_logits_match_single_sentences(self):
+        src, trg_in, gold, masks = M.pad_batch(self.model, self.pairs, self.masks)
+        assert src.shape == (6, 8) and (src[0, 3:] == PAD).all()
+        batched = self.model.forward(src, trg_in, masks).data
+        for b, ((s, t), m) in enumerate(zip(self.pairs, self.masks)):
+            solo = self.model.forward(s, [BOS] + t, m).data
+            assert solo.ndim == 2
+            np.testing.assert_allclose(batched[b, : len(t) + 1], solo, rtol=0, atol=1e-12)
+
+    def test_loss_and_every_gradient_match_summed_single_sentences(self):
+        model = self.model
+        src, trg_in, gold, masks = M.pad_batch(model, self.pairs, self.masks)
+        batched = ad.cross_entropy_smoothed(model.forward(src, trg_in, masks), gold, 0.1)
+        batched.backward()
+        grads = {n: t.grad.copy() for n, t in model.params.items()}
+        model.zero_grads()
+        total = 0.0
+        for (s, t), m in zip(self.pairs, self.masks):
+            loss = ad.cross_entropy_smoothed(model.forward(s, [BOS] + t, m), t + [EOS], 0.1)
+            loss.backward()
+            total += loss.item()
+        assert abs(batched.item() - total) <= 1e-10
+        for name, t in model.params.items():
+            np.testing.assert_allclose(grads[name], t.grad, rtol=0, atol=1e-10, err_msg=name)
+
+    def test_all_ones_masks_keep_real_rows_bitwise_vanilla(self):
+        # criterion 02 in batch form: padding must not let the masked heads
+        # drift from plain attention by a single bit
+        plain = self.build()
+        ones = [{"sasa": np.ones((len(s), len(s)))} for s, _ in self.pairs]
+        sasa_only = self.build([M.sasa_default()])
+        src, trg_in, gold, masks = M.pad_batch(sasa_only, self.pairs, ones)
+        real = gold >= 0
+        out_plain = plain.forward(src, trg_in).data
+        out_masked = sasa_only.forward(src, trg_in, masks).data
+        assert (out_plain[real] == out_masked[real]).all()
+
+    def test_aggregated_keys_divide_by_true_source_length(self):
+        rng = np.random.default_rng(33)
+        x = ad.Tensor(rng.normal(size=(2, 5, 4)))
+        q = ad.Tensor(rng.normal(size=(2, 3, 4)))
+        mask = np.zeros((2, 5, 5))
+        mask[0, :3, :3] = 1.0
+        mask[1] = 1.0
+        w = M.sacra_attention_weights(q, x, 2, mask, lengths=np.array([3, 5])).data
+        solo = M.sacra_attention_weights(
+            ad.Tensor(q.data[0]), ad.Tensor(x.data[0, :3]), 2, mask[0, :3, :3]
+        ).data
+        np.testing.assert_allclose(w[0, :, :3], solo, rtol=0, atol=1e-15)
+        assert (w[0, :, 3:] == 0.0).all()
+
+    def test_batched_mask_shape_checked(self):
+        src, trg_in, gold, masks = M.pad_batch(self.model, self.pairs, self.masks)
+        masks["sasa"] = masks["sasa"][:, :-1, :-1]
+        with pytest.raises(DimensionError):
+            self.model.forward(src, trg_in, masks)
+
+    def test_token_accuracy_matches_per_pair_reference(self):
+        # more pairs than one accuracy chunk, so chunking is exercised
+        pairs, masks = mixed_batch(np.random.default_rng(34), n=M.ACCURACY_CHUNK + 7)
+        correct = total = 0
+        for (s, t), m in zip(pairs, masks):
+            pred = self.model.forward(s, [BOS] + t, m).data.argmax(axis=1)
+            correct += int((pred == np.array(t + [EOS])).sum())
+            total += len(t) + 1
+        got = M.token_accuracy(self.model, pairs, lambda i: masks[i])
+        assert got == correct / total
+
+    def test_dropped_graph_is_freed_without_the_collector(self):
+        sents, vocab, covers = copy_task(pairs=1, min_len=8, max_len=8, seed=5)
+        src = vocab.encode(sents[0])
+        mask = binary_scene_mask(covers[0]).values
+        cfg = ModelConfig(src_vocab=len(vocab), trg_vocab=len(vocab), d_model=32,
+                          heads=2, d_ff=128, max_len=32)
+        model = Model(cfg, [M.sasa_default(), M.sacra_default()], seed=7)
+        masks = {"sasa": mask, "sacra": mask}
+        gc.collect()
+        gc.disable()
+        try:
+            loss = ad.cross_entropy_smoothed(
+                model.forward(src, [BOS] + src, masks), src + [EOS], 0.1
+            )
+            loss.backward()
+            del loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def table_scorer(table, vocab_size):
@@ -572,6 +725,11 @@ class TestTranslate:
         a = translate(model, src, cfg=DecodeConfig(beam=1, alpha=0.6, max_len=8))
         b = translate(model, src, cfg=DecodeConfig(beam=1, alpha=0.6, max_len=8), greedy=True)
         assert a.tokens == b.tokens
+
+    def test_max_len_past_the_model_is_capped(self):
+        model = Model(tiny_config(max_len=10), seed=18)
+        result = translate(model, [4, 5, 6], cfg=DecodeConfig(beam=2, max_len=30))
+        assert len(result.tokens) <= 9
 
     def test_checkpoint_roundtrip_preserves_outputs(self, tmp_path):
         from scenemt import autodiff
