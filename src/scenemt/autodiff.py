@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ParseError
+from .errors import DimensionError, ParseError
 
 _GRAD_ENABLED = True
 
@@ -51,9 +51,11 @@ class Tensor:
         return float(self.data)
 
     def accumulate(self, g):
+        # copied, not kept: transpose, reshape and sum_axis pass views
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def zero_grad(self):
         self.grad = None
@@ -71,12 +73,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def t(self):
-        return transpose(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -206,6 +202,27 @@ def transpose(a):
     return _make(_swap(a.data), (a,), backward)
 
 
+def reshape(a, shape):
+    a = _as_tensor(a)
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g.reshape(a.data.shape))
+
+    return _make(a.data.reshape(shape), (a,), backward)
+
+
+def sum_axis(x, axis):
+    """Sum over one axis, which the output drops."""
+    x = _as_tensor(x)
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate(np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
+
+    return _make(x.data.sum(axis=axis), (x,), backward)
+
+
 def relu(a):
     a = _as_tensor(a)
     mask = a.data > 0
@@ -309,23 +326,6 @@ def sum_all(x):
             x.accumulate(np.full_like(x.data, float(g)))
 
     return _make(x.data.sum(), (x,), backward)
-
-
-def mean_all(x):
-    x = _as_tensor(x)
-    n = x.data.size
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate(np.full_like(x.data, float(g) / n))
-
-    return _make(x.data.mean(), (x,), backward)
-
-
-def assert_finite(x, context="tensor", step=None):
-    data = x.data if isinstance(x, Tensor) else np.asarray(x)
-    if not np.isfinite(data).all():
-        raise NumericError(f"non-finite value in {context}", step=step)
 
 
 def grad_check(f, x, h=1e-5):

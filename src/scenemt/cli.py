@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage/config error, 3 input or parse error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import shlex
 import sys
 from pathlib import Path
@@ -118,76 +119,87 @@ def _out_dir(args):
 # -- head-spec flags ------------------------------------------------------------
 
 
-def _parse_placement(spec_str, default, c_flag):
-    """Override a default placement from 'layers=2&3;heads=1;family=scaled;C=0.1'."""
-    layers, heads = default.layers, default.heads
-    family, c, label = default.mask.family, default.mask.c, default.label
-    explicit_c = None
-    for part in filter(None, (spec_str or "").split(";")):
-        if "=" not in part:
+PLACEMENT_KEYS = ("layers", "heads", "family", "C", "label")
+
+
+def _spec_fields(text, keys):
+    """Fields of head-spec text 'layers=2&3;heads=1;family=scaled;C=0.1'.
+
+    Index lists take ',' or '&'; an empty C is None. Bad fragments raise ConfigError.
+    """
+    fields = {}
+    for part in filter(None, text.split(";")):
+        key, eq, value = part.partition("=")
+        if not eq:
             raise ConfigError(f"bad head-spec fragment {part!r}")
-        key, value = part.split("=", 1)
-        if key == "layers":
-            layers = {int(x) for x in value.replace("&", ",").split(",")}
-        elif key == "heads":
-            heads = {int(x) for x in value.replace("&", ",").split(",")}
-        elif key == "family":
-            family = value
-        elif key == "C":
-            explicit_c = float(value)
-        elif key == "label":
-            label = value
-        else:
+        if key not in keys:
             raise ConfigError(f"unknown head-spec key {key!r}")
-    if explicit_c is not None:
-        c = explicit_c
-    elif c_flag is not None and family in ("scaled", "normal"):
+        try:
+            if key in ("layers", "heads"):
+                value = {int(x) for x in value.replace("&", ",").split(",")}
+            elif key == "C":
+                value = float(value) if value else None
+        except ValueError:
+            raise ConfigError(f"bad head-spec fragment {part!r}") from None
+        fields[key] = value
+    return fields
+
+
+def _parse_placement(spec_str, default, c_flag):
+    """Override a default placement from head-spec text (see _spec_fields)."""
+    fields = _spec_fields(spec_str or "", PLACEMENT_KEYS)
+    family = fields.get("family", default.mask.family)
+    c = fields.get("C")
+    if c is None:
         # the bare --C flag only applies where the family takes a scale
-        c = c_flag
-    return HeadSpec(default.site, layers, heads, MaskSpec(family, c), label)
+        scaled = c_flag is not None and family in ("scaled", "normal")
+        c = c_flag if scaled else default.mask.c
+    return HeadSpec(default.site, fields.get("layers", default.layers),
+                    fields.get("heads", default.heads), MaskSpec(family, c),
+                    fields.get("label", default.label))
 
 
 def _collect_specs(args):
-    specs = []
-    if args.sasa is not None:
-        specs.append(_parse_placement(args.sasa, model_mod.sasa_default(), args.C))
-    if args.sacra is not None:
-        specs.append(_parse_placement(args.sacra, model_mod.sacra_default(), args.C))
-    if args.pascal is not None:
-        specs.append(_parse_placement(args.pascal, model_mod.pascal_default(), None))
-    if args.udiscal is not None:
-        specs.append(_parse_placement(args.udiscal, model_mod.udiscal_default(), None))
-    return specs
+    flags = ((args.sasa, model_mod.sasa_default, args.C),
+             (args.sacra, model_mod.sacra_default, args.C),
+             (args.pascal, model_mod.pascal_default, None),
+             (args.udiscal, model_mod.udiscal_default, None))
+    return [_parse_placement(text, default(), c) for text, default, c in flags if text is not None]
+
+
+def _build_masks(mask_specs, args, sentences=None):
+    """Each MaskSpec's masks, one per input record, from the mask-input flags.
+
+    Given `sentences`, the inputs must hold one record per sentence and each
+    scene cover must match its sentence's length.
+    """
+    n = None if sentences is None else len(sentences)
+    covers = _load_covers(args, n) if any(m.needs_cover for m in mask_specs) else None
+    trees = _load_trees(args, n) if not all(m.needs_cover for m in mask_specs) else None
+    if n is None:
+        n = len(covers if covers is not None else trees)
+    for i, (cover, tokens) in enumerate(zip(covers or (), sentences or ())):
+        if cover.length != len(tokens):
+            raise DimensionError(f"cover {i} describes {cover.length} tokens, "
+                                 f"sentence has {len(tokens)}")
+    aligns = _read_alignments(args.alignment, n) if args.alignment else None
+    rows = list(zip(covers or [None] * n, trees or [None] * n, aligns or [None] * n))
+    return [[m.build(cover=c, ud=t, align=a) for c, t, a in rows] for m in mask_specs]
 
 
 def _build_spec_masks(specs, sentences, args):
     """Per-label mask matrices for every sentence, built once up front."""
-    n = len(sentences)
-    need_cover = [s for s in specs if s.mask.family in SCENE_FAMILIES]
-    need_tree = [s for s in specs if s.mask.family in ("pascal", "udiscal")]
-    covers = _load_covers(args, n) if need_cover else None
-    trees = _load_trees(args, n) if need_tree else None
-    aligns = (
-        _read_alignments(args.alignment, n)
-        if getattr(args, "alignment", None)
-        else None
-    )
-    table = {}
-    for spec in specs:
-        built = []
-        for i in range(n):
-            align = aligns[i] if aligns else None
-            if spec.mask.family in SCENE_FAMILIES:
-                if covers[i].length != len(sentences[i]):
-                    raise DimensionError(
-                        f"cover {i} describes {covers[i].length} tokens, "
-                        f"sentence has {len(sentences[i])}"
-                    )
-                built.append(spec.mask.build(cover=covers[i], align=align).values)
-            else:
-                built.append(spec.mask.build(ud=trees[i], align=align).values)
-        table[spec.label] = built
-    return table
+    built = _build_masks([s.mask for s in specs], args, sentences)
+    return {s.label: [m.values for m in masks] for s, masks in zip(specs, built)}
+
+
+def _check_corpus(path, sentences, max_len, reserved=0):
+    """Refuse empty sentences and ones that, plus `reserved` positions, pass max_len."""
+    for lineno, tokens in enumerate(sentences, start=1):
+        n = len(tokens)
+        if not 0 < n <= max_len - reserved:
+            what = f"{n} tokens need {n + reserved} positions, over --max-len {max_len}"
+            raise ParseError(f"{path}: line {lineno}: {what if n else 'empty sentence'}")
 
 
 # -- model directory ------------------------------------------------------------
@@ -219,28 +231,36 @@ def _save_model_dir(out, model, src_vocab, trg_vocab):
     trg_vocab.save(out / "trg.vocab")
 
 
+def _stored_spec(text):
+    """A model.cfg head spec: the flag grammar plus site=, with every key given."""
+    fields = _spec_fields(text, ("site",) + PLACEMENT_KEYS)
+    missing = [k for k in ("site",) + PLACEMENT_KEYS if k not in fields]
+    if missing:
+        raise ConfigError(f"head spec lacks {', '.join(missing)}")
+    return HeadSpec(fields["site"], fields["layers"], fields["heads"],
+                    MaskSpec(fields["family"], fields["C"]), fields["label"])
+
+
 def _load_model_dir(path):
     path = Path(path)
+    cfg_path = path / "model.cfg"
+    known = {f.name for f in dataclasses.fields(ModelConfig)}
     fields, specs = {}, []
-    for line in _read_text(path / "model.cfg").splitlines():
-        if not line.strip():
-            continue
-        key, value = line.split("=", 1)
-        if key == "headspec":
-            opts = dict(part.split("=", 1) for part in value.split(";"))
-            specs.append(
-                HeadSpec(
-                    opts["site"],
-                    {int(x) for x in opts["layers"].split(",")},
-                    {int(x) for x in opts["heads"].split(",")},
-                    MaskSpec(opts["family"], float(opts["C"]) if opts["C"] else None),
-                    opts["label"],
-                )
-            )
-        else:
-            fields[key] = int(value)
-    cfg = ModelConfig(**fields)
-    model = model_mod.Model(cfg, specs, seed=0)
+    for lineno, line in enumerate(_read_text(cfg_path).splitlines(), start=1):
+        key, _, value = line.partition("=")
+        try:
+            if key == "headspec":
+                specs.append(_stored_spec(value))
+            elif key in known and key not in fields and value.isdecimal():
+                fields[key] = int(value)
+            elif line.strip():
+                raise ConfigError(f"{line!r} is neither headspec= nor a new field=<integer>")
+        except ConfigError as exc:
+            raise ParseError(f"{cfg_path}: line {lineno}: {exc}") from None
+    missing = sorted(known - set(fields))
+    if missing:
+        raise ParseError(f"{cfg_path}: missing fields {', '.join(missing)}")
+    model = model_mod.Model(ModelConfig(**fields), specs, seed=0)
     model.load_state(autodiff.load_checkpoint(path / "checkpoint.ckpt"))
     src_vocab = Vocab.load(path / "src.vocab")
     trg_vocab = Vocab.load(path / "trg.vocab")
@@ -253,24 +273,7 @@ def _load_model_dir(path):
 def cmd_masks(args, argv):
     spec = MaskSpec(args.family, args.C)
     out = _out_dir(args)
-    if spec.needs_cover:
-        covers = _load_covers(args)
-        aligns = (
-            _read_alignments(args.alignment, len(covers)) if args.alignment else None
-        )
-        built = [
-            spec.build(cover=c, align=aligns[i] if aligns else None)
-            for i, c in enumerate(covers)
-        ]
-    else:
-        trees = _load_trees(args)
-        aligns = (
-            _read_alignments(args.alignment, len(trees)) if args.alignment else None
-        )
-        built = [
-            spec.build(ud=t, align=aligns[i] if aligns else None)
-            for i, t in enumerate(trees)
-        ]
+    (built,) = _build_masks([spec], args)
     for i, mask in enumerate(built):
         (out / f"mask_{i:04d}.mask").write_text(masks_mod.write_mask(mask), encoding="utf-8")
     _write_manifest(out, "masks", argv, args, [("count", len(built))])
@@ -286,6 +289,9 @@ def cmd_train(args, argv):
         raise DimensionError(
             f"{len(src_sents)} source vs {len(trg_sents)} target sentences"
         )
+    _check_corpus(args.src, src_sents, args.max_len)
+    # the decoder reads BOS before the target's first token
+    _check_corpus(args.trg, trg_sents, args.max_len, reserved=1)
     specs = _collect_specs(args)
     mask_table = _build_spec_masks(specs, src_sents, args)
 

@@ -16,6 +16,7 @@ graph. Decoding is beam search with GNMT-style length normalization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -81,6 +82,8 @@ class HeadSpec:
             raise ConfigError("a head spec needs at least one layer and head")
         if self.label is None:
             object.__setattr__(self, "label", self.mask.family)
+        if not self.label:
+            raise ConfigError("a head spec needs a non-empty label")
 
 
 def sasa_default(mask=None):
@@ -136,9 +139,9 @@ class DecodeConfig:
 
 # -- attention operations ----------------------------------------------------------
 #
-# Each routine takes one sentence as 2-D [L, d] tensors, or a padded batch as
-# [B, L, d] tensors together with `lengths`, each sentence's true key length.
-# In a batch, keys at or past a sentence's length get NEG_BIAS before the
+# Each routine takes one sentence as [L, d] tensors, or stacks of them: a padded
+# batch [B, L, d], heads [H, L, d], or both [B, H, L, d]. In a batch `lengths`
+# holds each sentence's true key length; keys past it get NEG_BIAS before the
 # softmax, so they receive exactly zero weight.
 
 
@@ -153,16 +156,17 @@ def _check_mask(mask, shape):
     return mask
 
 
-def _key_padding_bias(lengths, n):
-    """[B, 1, n] additive bias hiding the keys past each sentence's length."""
-    return np.where(np.arange(n) >= np.asarray(lengths)[:, None, None], NEG_BIAS, 0.0)
+def _per_sentence(values, ndim):
+    """[B] values as [B, 1, ..., 1], so they meet the batch axis and never the heads."""
+    return np.asarray(values).reshape((-1,) + (1,) * (ndim - 1))
 
 
 def _attention_logits(q, k, d_k, causal=False, lengths=None):
     logits = ad.matmul(q, ad.transpose(k)) * (1.0 / math.sqrt(d_k))
     bias = _causal_bias(q.shape[-2]) if causal else None
     if lengths is not None:
-        padding = _key_padding_bias(lengths, k.shape[-2])
+        keys = np.arange(k.shape[-2])
+        padding = np.where(keys >= _per_sentence(lengths, logits.data.ndim), NEG_BIAS, 0.0)
         bias = padding if bias is None else bias + padding
     return logits if bias is None else ad.add(logits, Tensor(bias))
 
@@ -191,15 +195,15 @@ def sacra_attention_weights(q_dec, x_enc, d_k, mask, lengths=None):
     of encoder outputs over the positions its mask row admits, scaled by the
     source length. Source tokens with identical mask rows get identical keys
     and therefore identical weight columns. Queries must be d_model wide.
-    In a padded batch L_src is each sentence's true length, not the padded one.
+    With a head axis, x_enc carries it too (as a 1). In a padded batch L_src
+    is each sentence's true length, not the padded one.
     """
     l_src = x_enc.shape[-2]
-    mask = _check_mask(mask, x_enc.shape[:-1] + (l_src,))
-    if q_dec.shape[-1] != x_enc.shape[-1]:
-        raise DimensionError(
-            "query width must equal encoder width for aggregated keys"
-        )
-    scale = 1.0 / l_src if lengths is None else 1.0 / np.asarray(lengths)[:, None, None]
+    mask = _check_mask(mask, q_dec.shape[:-2] + (l_src, l_src))
+    # with a head axis missing from x_enc, the batch would meet the heads
+    if q_dec.shape[-1] != x_enc.shape[-1] or q_dec.data.ndim != x_enc.data.ndim:
+        raise DimensionError("queries for aggregated keys need the encoder's width and axes")
+    scale = 1.0 / l_src if lengths is None else 1.0 / _per_sentence(lengths, mask.ndim)
     k_tilde = ad.matmul(Tensor(mask), x_enc) * scale
     return ad.softmax_rows(_attention_logits(q_dec, k_tilde, d_k, lengths=lengths))
 
@@ -210,13 +214,9 @@ def sacra_attention(q_dec, x_enc, v, mask, lengths=None):
     return ad.matmul(weights, v)
 
 
-_CAUSAL_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _causal_bias(n):
-    if n not in _CAUSAL_CACHE:
-        _CAUSAL_CACHE[n] = np.triu(np.full((n, n), NEG_BIAS), k=1)
-    return _CAUSAL_CACHE[n]
+    return np.triu(np.full((n, n), NEG_BIAS), k=1)
 
 
 def _lengths(ids):
@@ -236,7 +236,15 @@ def sinusoidal_positions(max_len, d_model):
 # -- the transformer -----------------------------------------------------------------
 
 
+def _heads(x):
+    """[..., L, d] -> [..., 1, L, d]: a head axis for stacked weights to broadcast over."""
+    return ad.reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
+
+
 class Model:
+    """Attention weights stack heads (wq, wk, wv: [H, d, d_k]; wo: [H, d_k, d]); cross-
+    attention has plain (dec.{l}.cross.*) and aggregated-key heads (dec.{l}.cross.agg.*)."""
+
     def __init__(self, cfg, head_specs=(), seed=0):
         self.cfg = cfg
         self.head_specs = tuple(head_specs)
@@ -249,98 +257,94 @@ class Model:
     # spec resolution ---------------------------------------------------------
 
     def _resolve_specs(self):
-        enc, cross = {}, {}
+        """[layers, H] grids of head labels per site; "" marks a plain head."""
+        cfg = self.cfg
+        grids = {site: np.full((n, cfg.heads), "", dtype=object)
+                 for site, n in (("encoder", cfg.enc_layers), ("cross", cfg.dec_layers))}
         labels = set()
         for spec in self.head_specs:
             if spec.label in labels:
                 raise ConfigError(f"duplicate head-spec label {spec.label!r}")
             labels.add(spec.label)
-            layer_count = (
-                self.cfg.enc_layers if spec.site == "encoder" else self.cfg.dec_layers
-            )
-            table = enc if spec.site == "encoder" else cross
-            for layer in spec.layers:
-                if not 1 <= layer <= layer_count:
-                    raise ConfigError(
-                        f"layer {layer} outside 1..{layer_count} for site {spec.site}"
-                    )
-                for head in spec.heads:
-                    if not 1 <= head <= self.cfg.heads:
-                        raise ConfigError(
-                            f"head {head} outside 1..{self.cfg.heads}"
-                        )
-                    key = (layer - 1, head - 1)
-                    if key in table:
-                        raise ConfigError(
-                            f"{spec.site} layer {layer} head {head} masked twice"
-                        )
-                    table[key] = spec.label
-        return enc, cross
+            grid = grids[spec.site]
+            layers, heads = sorted(spec.layers), sorted(spec.heads)
+            if layers[0] < 1 or layers[-1] > len(grid):
+                raise ConfigError(f"layers {layers} reach outside 1..{len(grid)} for {spec.site}")
+            if heads[0] < 1 or heads[-1] > cfg.heads:
+                raise ConfigError(f"heads {heads} reach outside 1..{cfg.heads}")
+            rows, cols = np.array(layers)[:, None] - 1, np.array(heads) - 1
+            taken = np.argwhere(grid[rows, cols] != "")
+            if len(taken):
+                r, c = taken[0]
+                raise ConfigError(f"{spec.site} layer {layers[r]} head {heads[c]} masked twice")
+            grid[rows, cols] = spec.label
+        return grids["encoder"], grids["cross"]
 
     # parameters ----------------------------------------------------------------
 
-    def _param(self, name, shape, scale=None):
-        if scale is None:
-            data = np.zeros(shape)
-        else:
-            data = self._rng.normal(0.0, scale, size=shape)
-        t = Tensor(data, requires_grad=True)
-        self.params[name] = t
-        return t
+    def _param(self, name, data):
+        self.params[name] = Tensor(data, requires_grad=True)
+
+    def _head_params(self, groups):
+        """Store one sublayer's head matrices, stacked per group.
+
+        `groups` maps a name prefix to (head indices, [(name, shape, scale)]).
+        Heads draw in index order, each its group's matrices in turn.
+        """
+        sizes = np.zeros(self.cfg.heads, dtype=np.intp)
+        for heads, mats in groups.values():
+            sizes[heads] = sum(math.prod(shape) for _, shape, _ in mats)
+        z = self._rng.standard_normal(int(sizes.sum()))
+        starts = np.cumsum(sizes) - sizes
+        for prefix, (heads, mats) in groups.items():
+            at = starts[heads, None]  # each head's next draw
+            for name, shape, scale in mats:
+                n = math.prod(shape)
+                block = z[at + np.arange(n)].reshape((len(heads),) + shape)
+                if len(heads):
+                    self._param(f"{prefix}.{name}", scale * block)
+                at = at + n
 
     def _build(self):
         cfg = self.cfg
         d, dk, dff = cfg.d_model, cfg.d_k, cfg.d_ff
         emb_scale = 1.0 / math.sqrt(d)
-        self._param("src_emb", (cfg.src_vocab, d), emb_scale)
-        self._param("trg_emb", (cfg.trg_vocab, d), emb_scale)
+        wq, wk, wv = ((w, (d, dk), emb_scale) for w in ("wq", "wk", "wv"))
+        wo = ("wo", (dk, d), 1.0 / math.sqrt(dk))
+        every_head = np.arange(cfg.heads)
+        self._param("src_emb", self._rng.normal(0.0, emb_scale, (cfg.src_vocab, d)))
+        self._param("trg_emb", self._rng.normal(0.0, emb_scale, (cfg.trg_vocab, d)))
         for l in range(cfg.enc_layers):
-            for h in range(cfg.heads):
-                p = f"enc.{l}.attn.{h}"
-                self._param(f"{p}.wq", (d, dk), emb_scale)
-                self._param(f"{p}.wk", (d, dk), emb_scale)
-                self._param(f"{p}.wv", (d, dk), emb_scale)
-                self._param(f"{p}.wo", (dk, d), 1.0 / math.sqrt(dk))
+            self._head_params({f"enc.{l}.attn": (every_head, [wq, wk, wv, wo])})
             self._ln_params(f"enc.{l}.ln1", d)
             self._ffn_params(f"enc.{l}", d, dff)
             self._ln_params(f"enc.{l}.ln2", d)
         for l in range(cfg.dec_layers):
-            for h in range(cfg.heads):
-                p = f"dec.{l}.self.{h}"
-                self._param(f"{p}.wq", (d, dk), emb_scale)
-                self._param(f"{p}.wk", (d, dk), emb_scale)
-                self._param(f"{p}.wv", (d, dk), emb_scale)
-                self._param(f"{p}.wo", (dk, d), 1.0 / math.sqrt(dk))
+            self._head_params({f"dec.{l}.self": (every_head, [wq, wk, wv, wo])})
             self._ln_params(f"dec.{l}.ln1", d)
-            for h in range(cfg.heads):
-                p = f"dec.{l}.cross.{h}"
-                if (l, h) in self.cross_masked:
-                    # aggregated keys carry no learned projection; the query
-                    # must span the full model width to meet them
-                    self._param(f"{p}.wq", (d, d), emb_scale)
-                else:
-                    self._param(f"{p}.wq", (d, dk), emb_scale)
-                    self._param(f"{p}.wk", (d, dk), emb_scale)
-                self._param(f"{p}.wv", (d, dk), emb_scale)
-                self._param(f"{p}.wo", (dk, d), 1.0 / math.sqrt(dk))
+            agg = self.cross_masked[l] != ""
+            # aggregated keys carry no learned projection; the query must
+            # span the full model width to meet them
+            self._head_params({
+                f"dec.{l}.cross": (np.flatnonzero(~agg), [wq, wk, wv, wo]),
+                f"dec.{l}.cross.agg": (np.flatnonzero(agg), [("wq", (d, d), emb_scale), wv, wo]),
+            })
             self._ln_params(f"dec.{l}.ln2", d)
             self._ffn_params(f"dec.{l}", d, dff)
             self._ln_params(f"dec.{l}.ln3", d)
         # zero init keeps the step-0 loss at ln(vocab)
-        self._param("out.w", (d, cfg.trg_vocab))
-        self._param("out.b", (cfg.trg_vocab,))
+        self._param("out.w", np.zeros((d, cfg.trg_vocab)))
+        self._param("out.b", np.zeros(cfg.trg_vocab))
 
     def _ln_params(self, prefix, d):
-        gain = Tensor(np.ones(d), requires_grad=True)
-        bias = Tensor(np.zeros(d), requires_grad=True)
-        self.params[f"{prefix}.g"] = gain
-        self.params[f"{prefix}.b"] = bias
+        self._param(f"{prefix}.g", np.ones(d))
+        self._param(f"{prefix}.b", np.zeros(d))
 
     def _ffn_params(self, prefix, d, dff):
-        self._param(f"{prefix}.ffn.w1", (d, dff), 1.0 / math.sqrt(d))
-        self.params[f"{prefix}.ffn.b1"] = Tensor(np.zeros(dff), requires_grad=True)
-        self._param(f"{prefix}.ffn.w2", (dff, d), 1.0 / math.sqrt(dff))
-        self.params[f"{prefix}.ffn.b2"] = Tensor(np.zeros(d), requires_grad=True)
+        self._param(f"{prefix}.ffn.w1", self._rng.normal(0.0, 1.0 / math.sqrt(d), (d, dff)))
+        self._param(f"{prefix}.ffn.b1", np.zeros(dff))
+        self._param(f"{prefix}.ffn.w2", self._rng.normal(0.0, 1.0 / math.sqrt(dff), (dff, d)))
+        self._param(f"{prefix}.ffn.b2", np.zeros(d))
 
     # forward pass -----------------------------------------------------------------
     #
@@ -351,9 +355,7 @@ class Model:
     def _embed(self, table, ids):
         n = ids.shape[-1]
         if n > self.cfg.max_len:
-            raise DimensionError(
-                f"sequence of {n} exceeds max length {self.cfg.max_len}"
-            )
+            raise DimensionError(f"sequence of {n} exceeds max length {self.cfg.max_len}")
         x = ad.embedding(table, ids) * math.sqrt(self.cfg.d_model)
         return ad.add(x, Tensor(self.positions[:n]))
 
@@ -366,39 +368,45 @@ class Model:
         p = self.params
         return ad.layer_norm(ad.add(x, sub), p[f"{prefix}.g"], p[f"{prefix}.b"])
 
+    def _qkv(self, prefix, x_q, x_kv):
+        p = self.params
+        return (ad.matmul(x_q, p[f"{prefix}.wq"]), ad.matmul(x_kv, p[f"{prefix}.wk"]),
+                ad.matmul(x_kv, p[f"{prefix}.wv"]))
+
+    def _heads_out(self, prefix, o):
+        """Each head's [..., H, L, d_k] output through its wo, summed over heads."""
+        return ad.sum_axis(ad.matmul(o, self.params[f"{prefix}.wo"]), -3)
+
     def _mask_for(self, masks, label, shape):
         if label not in masks:
             raise ConfigError(f"missing mask {label!r} for a configured head")
         mask = np.asarray(masks[label])
         if mask.shape != shape:
-            raise DimensionError(
-                f"mask {label!r} has shape {mask.shape}, expected {shape}"
-            )
+            raise DimensionError(f"mask {label!r} has shape {mask.shape}, expected {shape}")
         return mask
+
+    def _mask_stack(self, masks, labels, shape):
+        """[..., H, L, L] masks of the heads labelled `labels`; "" gets all ones."""
+        names, index = np.unique(labels, return_inverse=True)
+        stack = [self._mask_for(masks, n, shape) if n else np.ones(shape) for n in names]
+        return np.stack(stack, axis=-3)[..., index, :, :]
 
     def encode(self, src_ids, masks=None):
         masks = masks or {}
-        p = self.params
         ids = np.asarray(src_ids, dtype=np.intp)
         lengths = _lengths(ids)
         mask_shape = ids.shape + ids.shape[-1:]
-        x = self._embed(p["src_emb"], ids)
-        for l in range(self.cfg.enc_layers):
-            attn = None
-            for h in range(self.cfg.heads):
-                pre = f"enc.{l}.attn.{h}"
-                q = ad.matmul(x, p[f"{pre}.wq"])
-                k = ad.matmul(x, p[f"{pre}.wk"])
-                v = ad.matmul(x, p[f"{pre}.wv"])
-                label = self.enc_masked.get((l, h))
-                if label is None:
-                    o = vanilla_attention(q, k, v, lengths=lengths)
-                else:
-                    mask = self._mask_for(masks, label, mask_shape)
-                    o = sasa_attention(q, k, v, mask, lengths)
-                contrib = ad.matmul(o, p[f"{pre}.wo"])
-                attn = contrib if attn is None else ad.add(attn, contrib)
-            x = self._sublayer_norm(f"enc.{l}.ln1", x, attn)
+        x = self._embed(self.params["src_emb"], ids)
+        for l, labels in enumerate(self.enc_masked):
+            pre = f"enc.{l}.attn"
+            xh = _heads(x)
+            q, k, v = self._qkv(pre, xh, xh)
+            if (labels != "").any():
+                stack = self._mask_stack(masks, labels, mask_shape)
+                o = sasa_attention(q, k, v, stack, lengths)
+            else:
+                o = vanilla_attention(q, k, v, lengths=lengths)
+            x = self._sublayer_norm(f"enc.{l}.ln1", x, self._heads_out(pre, o))
             x = self._sublayer_norm(f"enc.{l}.ln2", x, self._ffn(f"enc.{l}", x))
         return x
 
@@ -413,33 +421,28 @@ class Model:
         ids = np.asarray(trg_in_ids, dtype=np.intp)
         trg_lengths = _lengths(ids)
         mask_shape = enc_out.shape[:-1] + enc_out.shape[-2:-1]
+        xh = _heads(enc_out)
         y = self._embed(p["trg_emb"], ids)
-        for l in range(self.cfg.dec_layers):
-            attn = None
-            for h in range(self.cfg.heads):
-                pre = f"dec.{l}.self.{h}"
-                q = ad.matmul(y, p[f"{pre}.wq"])
-                k = ad.matmul(y, p[f"{pre}.wk"])
-                v = ad.matmul(y, p[f"{pre}.wv"])
-                o = vanilla_attention(q, k, v, causal=True, lengths=trg_lengths)
-                contrib = ad.matmul(o, p[f"{pre}.wo"])
-                attn = contrib if attn is None else ad.add(attn, contrib)
-            y = self._sublayer_norm(f"dec.{l}.ln1", y, attn)
+        for l, labels in enumerate(self.cross_masked):
+            pre = f"dec.{l}.self"
+            yh = _heads(y)
+            q, k, v = self._qkv(pre, yh, yh)
+            o = vanilla_attention(q, k, v, causal=True, lengths=trg_lengths)
+            y = self._sublayer_norm(f"dec.{l}.ln1", y, self._heads_out(pre, o))
 
+            yh, agg = _heads(y), labels != ""
             cross = None
-            for h in range(self.cfg.heads):
-                pre = f"dec.{l}.cross.{h}"
-                v = ad.matmul(enc_out, p[f"{pre}.wv"])
-                q = ad.matmul(y, p[f"{pre}.wq"])
-                label = self.cross_masked.get((l, h))
-                if label is None:
-                    k = ad.matmul(enc_out, p[f"{pre}.wk"])
-                    o = vanilla_attention(q, k, v, lengths=src_lengths)
-                else:
-                    mask = self._mask_for(masks, label, mask_shape)
-                    o = sacra_attention(q, enc_out, v, mask, src_lengths)
-                contrib = ad.matmul(o, p[f"{pre}.wo"])
-                cross = contrib if cross is None else ad.add(cross, contrib)
+            if not agg.all():
+                pre = f"dec.{l}.cross"
+                q, k, v = self._qkv(pre, yh, xh)
+                o = vanilla_attention(q, k, v, lengths=src_lengths)
+                cross = self._heads_out(pre, o)
+            if agg.any():
+                pre = f"dec.{l}.cross.agg"
+                q, v = ad.matmul(yh, p[f"{pre}.wq"]), ad.matmul(xh, p[f"{pre}.wv"])
+                stack = self._mask_stack(masks, labels[agg], mask_shape)
+                o = self._heads_out(pre, sacra_attention(q, xh, v, stack, src_lengths))
+                cross = o if cross is None else ad.add(cross, o)
             y = self._sublayer_norm(f"dec.{l}.ln2", y, cross)
             y = self._sublayer_norm(f"dec.{l}.ln3", y, self._ffn(f"dec.{l}", y))
         return ad.add(ad.matmul(y, p["out.w"]), p["out.b"])
@@ -506,7 +509,7 @@ def pad_batch(model, pairs, pair_masks):
     src_b = np.full((n, s_len), PAD, dtype=np.intp)
     trg_in = np.full((n, t_len), PAD, dtype=np.intp)
     gold = np.full((n, t_len), -1, dtype=np.intp)
-    labels = sorted(set(model.enc_masked.values()) | set(model.cross_masked.values()))
+    labels = sorted((set(model.enc_masked.flat) | set(model.cross_masked.flat)) - {""})
     masks = {label: np.zeros((n, s_len, s_len)) for label in labels}
     for b, ((src, trg), pm) in enumerate(zip(pairs, pair_masks)):
         ls, lt = len(src), len(trg) + 1
@@ -628,6 +631,7 @@ def beam_search(score_fn, bos, eos, cfg):
     hypothesis is returned with finished=False.
     """
     beam = cfg.beam
+    best = lambda c: (-c[0], c[1])  # higher score first, then smaller token ids
     live = [(0.0, (bos,))]
     done = []
     for _ in range(cfg.max_len):
@@ -637,7 +641,7 @@ def beam_search(score_fn, bos, eos, cfg):
             top = np.argsort(-logp, kind="stable")[:beam]
             for tok in top:
                 candidates.append((lp + float(logp[tok]), seq + (int(tok),)))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
+        candidates.sort(key=best)
         live = []
         for lp, seq in candidates:
             if seq[-1] == eos:
@@ -649,16 +653,12 @@ def beam_search(score_fn, bos, eos, cfg):
         if not live:
             break
     if done:
-        done.sort(key=lambda c: (-c[0], c[1]))
-        score, seq = done[0]
+        score, seq = min(done, key=best)
         return BeamResult(list(seq[1:]), score, True)
     if not live:
         return BeamResult([], -math.inf, False)
-    ranked = sorted(
-        ((lp / length_penalty(len(seq) - 1, cfg.alpha), seq) for lp, seq in live),
-        key=lambda c: (-c[0], c[1]),
-    )
-    score, seq = ranked[0]
+    score, seq = min(((lp / length_penalty(len(seq) - 1, cfg.alpha), seq) for lp, seq in live),
+                     key=best)
     return BeamResult(list(seq[1:]), score, False)
 
 
@@ -695,9 +695,7 @@ def translate(model, src_ids, masks=None, cfg=None, greedy=False):
         enc_out = model.encode(src_ids, masks)
 
         def score_fn(prefix):
-            with ad.no_grad():
-                logits = model.decode(list(prefix), enc_out, masks)
-            return log_softmax(logits.data[-1])
+            return log_softmax(model.decode(list(prefix), enc_out, masks).data[-1])
 
         if greedy:
             result = greedy_decode(score_fn, BOS, EOS, cfg.max_len)

@@ -52,12 +52,6 @@ class UccaGraph:
     def length(self):
         return len(self.terminals)
 
-    def token_of(self, node_id):
-        for nid, tok, _ in self.terminals:
-            if nid == node_id:
-                return tok
-        return None
-
     def children(self, node_id, remote=True):
         for e in self.edges:
             if e.parent == node_id and (remote or not e.remote):

@@ -79,6 +79,45 @@ def test_transpose_swaps_last_two_axes():
     assert ad.grad_check(lambda t: ad.sum_all(ad.mul(ad.transpose(t), w)), x) < 1e-9
 
 
+def test_reshape_adds_a_head_axis_and_sums_its_gradient():
+    rng = np.random.default_rng(46)
+    x = ad.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(5, 4, 2)))  # five stacked weights
+    out = ad.matmul(ad.reshape(x, (2, 1, 3, 4)), w)
+    assert out.shape == (2, 5, 3, 2)
+    np.testing.assert_array_equal(out.data[1, 4], x.data[1] @ w.data[4])
+    assert ad.grad_check(lambda t: ad.sum_all(ad.matmul(ad.reshape(t, (2, 1, 3, 4)), w)), x) < 1e-8
+
+
+def test_sum_axis_values_and_gradient():
+    rng = np.random.default_rng(47)
+    x = ad.Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+    out = ad.sum_axis(x, -3)
+    assert out.shape == (2, 4, 5)
+    np.testing.assert_allclose(out.data, x.data[:, 0] + x.data[:, 1] + x.data[:, 2],
+                               rtol=0, atol=1e-15)
+    w = ad.Tensor(rng.normal(size=(2, 4, 5)))
+    assert ad.grad_check(lambda t: ad.sum_all(ad.mul(ad.sum_axis(t, -3), w)), x) < 1e-9
+
+
+def test_first_gradient_is_a_copy_of_a_view():
+    # transpose and reshape hand their input a view of the output gradient;
+    # the stored gradient must not alias it
+    source = np.arange(6.0).reshape(2, 3)
+    t = ad.Tensor(np.zeros((3, 2)), requires_grad=True)
+    t.accumulate(source.T)
+    source[0, 0] = 100.0
+    assert t.grad[0, 0] == 0.0
+    t.accumulate(np.ones((3, 2)))
+    assert source[0, 1] == 1.0
+    np.testing.assert_array_equal(t.grad, np.arange(6.0).reshape(2, 3).T + 1.0)
+    # a read-only broadcast view (sum_axis's backward) is copied too
+    x = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+    ad.sum_all(ad.sum_axis(x, 0)).backward()
+    x.accumulate(np.ones((2, 3)))
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+
 def test_matmul_associative_on_well_conditioned_inputs():
     rng = np.random.default_rng(1)
     a, b, c = (ad.Tensor(rng.normal(size=(8, 8))) for _ in range(3))
@@ -142,7 +181,7 @@ def test_masked_attention_loss_gradient():
 
     def loss(t):
         s = ad.softmax_rows(ad.matmul(t, ad.transpose(k)) * (1 / np.sqrt(3)))
-        return ad.mean_all(ad.matmul(ad.mul(s, ad.Tensor(mask)), v))
+        return ad.sum_all(ad.matmul(ad.mul(s, ad.Tensor(mask)), v))
 
     assert ad.grad_check(loss, q) <= 1e-4
 

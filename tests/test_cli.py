@@ -295,3 +295,131 @@ class TestEvaluateRerun:
         out2 = tmp_path / "e2"
         assert run(["rerun", out1 / "manifest.txt", "--out", out2]) == 0
         assert (out1 / "scores.txt").read_bytes() == (out2 / "scores.txt").read_bytes()
+
+
+def train_argv(src, trg, cov, out, *extra):
+    return ["train", "--src", src, "--trg", trg, "--cover", cov, "--steps", "2",
+            "--batch-size", "2", "--d-model", "8", "--layers", "4", "--heads", "2",
+            "--d-ff", "16", "--max-len", "16", "--out", out, *extra]
+
+
+class TestHeadSpecErrors:
+    @pytest.mark.parametrize("spec,fragment", [
+        ("layers=x", "layers=x"),
+        ("family=scaled;C=abc", "C=abc"),
+        ("heads=1,", "heads=1,"),
+        ("layers", "layers"),
+    ])
+    def test_bad_fragment_exits_2_naming_it(self, tmp_path, capsys, spec, fragment):
+        src, trg, cov = tmp_path / "c.src", tmp_path / "c.trg", tmp_path / "c.cover"
+        write_copy_task(src, trg, cov, pairs=4, seed=1)
+        assert run(train_argv(src, trg, cov, tmp_path / "o", "--sasa", spec)) == 2
+        err = capsys.readouterr().err
+        assert repr(fragment) in err
+        assert "Traceback" not in err
+
+
+class TestCorpusValidation:
+    def test_empty_source_line_exits_3_naming_file_and_line(self, tmp_path, capsys):
+        src, trg, cov = tmp_path / "c.src", tmp_path / "c.trg", tmp_path / "c.cover"
+        write_copy_task(src, trg, cov, pairs=4, seed=2)
+        lines = src.read_text().splitlines()
+        lines[1] = ""
+        src.write_text("\n".join(lines) + "\n")
+        assert run(train_argv(src, trg, cov, tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert "c.src: line 2: empty sentence" in err
+
+    def test_target_needing_more_positions_than_max_len_exits_3(self, tmp_path, capsys):
+        src, trg = tmp_path / "c.src", tmp_path / "c.trg"
+        src.write_text("a b\n" + " ".join("c" * 15) + "\n")
+        trg.write_text("a b\n" + " ".join("c" * 16) + "\n")
+        argv = ["train", "--src", src, "--trg", trg, "--steps", "1", "--d-model", "8",
+                "--heads", "2", "--max-len", "16", "--out", tmp_path / "o"]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert "c.trg: line 2: 16 tokens need 17 positions, over --max-len 16" in err
+
+
+def copy_model_dir(model_dir, dest):
+    import shutil
+
+    shutil.copytree(model_dir, dest)
+    return dest
+
+
+class TestModelDir:
+    def translate(self, model_dir, root, out):
+        return run(["translate", "--model", model_dir, "--src", root / "c.src",
+                    "--cover", root / "c.cover", "--greedy", "--max-len", "4",
+                    "--out", out])
+
+    @pytest.mark.parametrize("edit,line", [
+        (lambda lines: lines.insert(2, "bogus"), 3),
+        (lambda lines: lines.insert(0, "dropout=1"), 1),
+        (lambda lines: lines.insert(1, "d_model=8"), 4),  # the repeat
+        (lambda lines: lines.__setitem__(3, "enc_layers=abc"), 4),
+        (lambda lines: lines.__setitem__(-1, lines[-1].replace(";label=sasa", "")), 9),
+        (lambda lines: lines.__setitem__(-1, lines[-1].replace("layers=4", "layers=x")), 9),
+    ])
+    def test_bad_model_cfg_line_exits_3_naming_it(self, trained_dir, tmp_path, capsys,
+                                                  edit, line):
+        root, model_dir = trained_dir
+        bad = copy_model_dir(model_dir, tmp_path / "m")
+        lines = (bad / "model.cfg").read_text().splitlines()
+        assert lines[-1].startswith("headspec=") and len(lines) == 9
+        edit(lines)
+        (bad / "model.cfg").write_text("\n".join(lines) + "\n")
+        assert self.translate(bad, root, tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert f"model.cfg: line {line}: " in err
+        assert "Traceback" not in err
+
+    def test_missing_field_exits_3(self, trained_dir, tmp_path, capsys):
+        root, model_dir = trained_dir
+        bad = copy_model_dir(model_dir, tmp_path / "m")
+        text = (bad / "model.cfg").read_text().replace("d_ff=32\n", "")
+        (bad / "model.cfg").write_text(text)
+        assert self.translate(bad, root, tmp_path / "o") == 3
+        assert "missing fields d_ff" in capsys.readouterr().err
+
+    def test_per_head_checkpoint_is_refused(self, trained_dir, tmp_path, capsys):
+        from scenemt import autodiff
+
+        root, model_dir = trained_dir
+        old = copy_model_dir(model_dir, tmp_path / "m")
+        arrays = autodiff.load_checkpoint(old / "checkpoint.ckpt")
+        per_head = {}
+        for name, a in arrays.items():
+            if a.ndim == 3:  # a stacked attention tensor, split as "<sublayer>.<h>.<w>"
+                prefix, w = name.rsplit(".", 1)
+                per_head.update((f"{prefix}.{h}.{w}", m) for h, m in enumerate(a))
+            else:
+                per_head[name] = a
+        autodiff.save_checkpoint(old / "checkpoint.ckpt", per_head)
+        assert self.translate(old, root, tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "checkpoint is missing tensor 'enc.0.attn.wq'" in err
+        assert "Traceback" not in err
+
+    def test_head_specs_round_trip_through_model_cfg(self, tmp_path):
+        from scenemt import model as M
+        from scenemt.masks import MaskSpec
+        from scenemt.textpipe import Vocab
+
+        specs = [
+            M.HeadSpec("encoder", {1, 2}, {2}, MaskSpec("scaled", 0.1), "s"),
+            M.HeadSpec("encoder", {1}, {1}, MaskSpec("pascal"), "p"),
+            M.HeadSpec("cross", {2}, {1, 2}, MaskSpec("normal", 0.5), "n"),
+            M.HeadSpec("cross", {1}, {2}, MaskSpec("binary"), "b"),
+        ]
+        cfg = M.ModelConfig(src_vocab=7, trg_vocab=7, d_model=8, enc_layers=2,
+                            dec_layers=2, heads=2, d_ff=12, max_len=16)
+        model = M.Model(cfg, specs, seed=3)
+        vocab = Vocab.from_corpus([["a", "b", "c"]])
+        cli._save_model_dir(tmp_path, model, vocab, vocab)
+        loaded, _, _ = cli._load_model_dir(tmp_path)
+        assert loaded.cfg == cfg
+        assert loaded.head_specs == model.head_specs
+        for name, t in model.params.items():
+            assert (loaded.params[name].data == t.data).all(), name

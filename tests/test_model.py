@@ -189,7 +189,12 @@ def tiny_config(**kw):
 
 
 def dense_forward(model, src_ids, trg_in_ids, masks):
-    """Independent plain-numpy mirror of the model's forward pass."""
+    """Independent plain-numpy mirror of the model's forward pass, head by head.
+
+    Each head's matrices are sliced out of the stacked tensors; in decoder
+    cross-attention, plain and aggregated-key heads are numbered within
+    their own group.
+    """
     cfg = model.cfg
     p = {name: t.data for name, t in model.params.items()}
     d, dk = cfg.d_model, cfg.d_k
@@ -210,14 +215,14 @@ def dense_forward(model, src_ids, trg_in_ids, masks):
     L = len(src_ids)
     for l in range(cfg.enc_layers):
         attn = np.zeros_like(x)
+        pre = f"enc.{l}.attn"
         for h in range(cfg.heads):
-            pre = f"enc.{l}.attn.{h}"
-            q, k, v = x @ p[f"{pre}.wq"], x @ p[f"{pre}.wk"], x @ p[f"{pre}.wv"]
+            q, k, v = (x @ p[f"{pre}.{w}"][h] for w in ("wq", "wk", "wv"))
             s = softmax(q @ k.T / math.sqrt(dk))
-            label = model.enc_masked.get((l, h))
-            if label is not None:
+            label = model.enc_masked[l, h]
+            if label:
                 s = s * masks[label]
-            attn += (s @ v) @ p[f"{pre}.wo"]
+            attn += (s @ v) @ p[f"{pre}.wo"][h]
         x = ln(x + attn, p[f"enc.{l}.ln1.g"], p[f"enc.{l}.ln1.b"])
         f = np.maximum(0, x @ p[f"enc.{l}.ffn.w1"] + p[f"enc.{l}.ffn.b1"])
         f = f @ p[f"enc.{l}.ffn.w2"] + p[f"enc.{l}.ffn.b2"]
@@ -228,32 +233,78 @@ def dense_forward(model, src_ids, trg_in_ids, masks):
     causal = np.triu(np.full((T, T), M.NEG_BIAS), k=1)
     for l in range(cfg.dec_layers):
         attn = np.zeros_like(y)
+        pre = f"dec.{l}.self"
         for h in range(cfg.heads):
-            pre = f"dec.{l}.self.{h}"
-            q, k, v = y @ p[f"{pre}.wq"], y @ p[f"{pre}.wk"], y @ p[f"{pre}.wv"]
+            q, k, v = (y @ p[f"{pre}.{w}"][h] for w in ("wq", "wk", "wv"))
             s = softmax(q @ k.T / math.sqrt(dk) + causal)
-            attn += (s @ v) @ p[f"{pre}.wo"]
+            attn += (s @ v) @ p[f"{pre}.wo"][h]
         y = ln(y + attn, p[f"dec.{l}.ln1.g"], p[f"dec.{l}.ln1.b"])
 
         cross = np.zeros_like(y)
+        seen = {"plain": 0, "agg": 0}  # heads met so far in each group
         for h in range(cfg.heads):
-            pre = f"dec.{l}.cross.{h}"
-            v = x @ p[f"{pre}.wv"]
-            label = model.cross_masked.get((l, h))
-            if label is None:
-                q = y @ p[f"{pre}.wq"]
-                k = x @ p[f"{pre}.wk"]
-                s = softmax(q @ k.T / math.sqrt(dk))
+            label = model.cross_masked[l, h]
+            group = "agg" if label else "plain"
+            i = seen[group]
+            seen[group] += 1
+            pre = f"dec.{l}.cross.agg" if label else f"dec.{l}.cross"
+            v = x @ p[f"{pre}.wv"][i]
+            q = y @ p[f"{pre}.wq"][i]
+            if label:
+                k = (masks[label] @ x) / L
             else:
-                q = y @ p[f"{pre}.wq"]
-                k_tilde = (masks[label] @ x) / L
-                s = softmax(q @ k_tilde.T / math.sqrt(dk))
-            cross += (s @ v) @ p[f"{pre}.wo"]
+                k = x @ p[f"{pre}.wk"][i]
+            s = softmax(q @ k.T / math.sqrt(dk))
+            cross += (s @ v) @ p[f"{pre}.wo"][i]
         y = ln(y + cross, p[f"dec.{l}.ln2.g"], p[f"dec.{l}.ln2.b"])
         f = np.maximum(0, y @ p[f"dec.{l}.ffn.w1"] + p[f"dec.{l}.ffn.b1"])
         f = f @ p[f"dec.{l}.ffn.w2"] + p[f"dec.{l}.ffn.b2"]
         y = ln(y + f, p[f"dec.{l}.ln3.g"], p[f"dec.{l}.ln3.b"])
     return y @ p["out.w"] + p["out.b"]
+
+
+def per_head_draws(cfg, cross_masked, seed):
+    """Per-head initial weights, drawn one head at a time in build order.
+
+    Returns {stacked parameter name: list of per-head arrays}; stacking each
+    list must give the model's initial tensor bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    d, dk = cfg.d_model, cfg.d_k
+    s, so = 1 / math.sqrt(d), 1 / math.sqrt(dk)
+    out = {}
+
+    def draw(name, shape, scale):
+        out.setdefault(name, []).append(rng.normal(0.0, scale, size=shape))
+
+    def ffn(pre):
+        draw(f"{pre}.ffn.w1", (d, cfg.d_ff), s)
+        draw(f"{pre}.ffn.w2", (cfg.d_ff, d), 1 / math.sqrt(cfg.d_ff))
+
+    draw("src_emb", (cfg.src_vocab, d), s)
+    draw("trg_emb", (cfg.trg_vocab, d), s)
+    for l in range(cfg.enc_layers):
+        for h in range(cfg.heads):
+            for w in ("wq", "wk", "wv"):
+                draw(f"enc.{l}.attn.{w}", (d, dk), s)
+            draw(f"enc.{l}.attn.wo", (dk, d), so)
+        ffn(f"enc.{l}")
+    for l in range(cfg.dec_layers):
+        for h in range(cfg.heads):
+            for w in ("wq", "wk", "wv"):
+                draw(f"dec.{l}.self.{w}", (d, dk), s)
+            draw(f"dec.{l}.self.wo", (dk, d), so)
+        for h in range(cfg.heads):
+            if cross_masked[l, h]:
+                draw(f"dec.{l}.cross.agg.wq", (d, d), s)
+                draw(f"dec.{l}.cross.agg.wv", (d, dk), s)
+                draw(f"dec.{l}.cross.agg.wo", (dk, d), so)
+            else:
+                for w in ("wq", "wk", "wv"):
+                    draw(f"dec.{l}.cross.{w}", (d, dk), s)
+                draw(f"dec.{l}.cross.wo", (dk, d), so)
+        ffn(f"dec.{l}")
+    return out
 
 
 class TestForward:
@@ -288,6 +339,9 @@ class TestForward:
             HeadSpec("cross", {1, 2}, {2}, MaskSpec("binary"), "sacra"),
         ]
         model = Model(tiny_config(), specs, seed=11)
+        # a zero output layer would make every logit 0 on both sides
+        out_w = model.params["out.w"].data
+        out_w[:] = np.random.default_rng(12).normal(size=out_w.shape)
         src, trg = [1, 2, 3, 4], [BOS, 5, 6]
         mask = np.zeros((4, 4))
         mask[:2, :2] = 1.0
@@ -377,6 +431,9 @@ class TestEndToEndGradients:
         ]
         cfg = tiny_config(src_vocab=7, trg_vocab=7)
         model = Model(cfg, specs, seed=5)
+        # with the zero-initialised output layer every other gradient is 0
+        out_w = model.params["out.w"].data
+        out_w[:] = np.random.default_rng(6).normal(size=out_w.shape)
         src, trg = [1, 2, 3, 4], [5, 6]
         mask = np.zeros((4, 4))
         mask[:3, :3] = 1.0
@@ -387,12 +444,14 @@ class TestEndToEndGradients:
             logits = model.forward(src, [BOS] + trg, masks)
             return ad.cross_entropy_smoothed(logits, trg + [EOS], 0.1)
 
-        # spot-check one tensor from every parameter role
+        # spot-check one tensor from every parameter role; decoder layer 0
+        # has both cross-attention groups, the aggregated-key one on head 1
         for name in [
             "src_emb", "trg_emb",
-            "enc.1.attn.0.wq", "enc.0.ffn.w1", "enc.0.ln1.g",
-            "dec.0.cross.0.wq", "dec.0.cross.0.wv", "dec.1.cross.1.wk",
-            "dec.0.self.1.wo", "dec.1.ln3.b", "out.w", "out.b",
+            "enc.1.attn.wq", "enc.1.attn.wo", "enc.0.ffn.w1", "enc.0.ln1.g",
+            "dec.0.cross.agg.wq", "dec.0.cross.agg.wv", "dec.0.cross.agg.wo",
+            "dec.0.cross.wq", "dec.1.cross.wk",
+            "dec.0.self.wo", "dec.1.ln3.b", "out.w", "out.b",
         ]:
             err = ad.grad_check(loss, model.params[name], h=1e-5)
             assert err <= 1e-4, f"{name}: {err}"
@@ -502,7 +561,7 @@ def mixed_batch(rng, n=6, vocab=8):
         m = (rng.random((L, L)) > 0.4) * rng.random((L, L))
         np.fill_diagonal(m, 1.0)
         pairs.append((src, trg))
-        masks.append({"sasa": m, "sacra": m.T.copy()})
+        masks.append({"sasa": m, "sacra": m.T.copy(), "pascal": m[::-1].copy()})
     return pairs, masks
 
 
@@ -608,6 +667,98 @@ class TestBatchedForward:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def random_placement(rng, agg_head, heads=3):
+    """sasa and pascal on one encoder layer, sacra on `agg_head` (0-based) and maybe more."""
+    order = [int(h) + 1 for h in rng.permutation(heads)]
+    layer = int(rng.integers(1, 3))
+    pascal = set(order[1:1 + int(rng.integers(1, heads))])
+    agg = {agg_head + 1} | ({int(rng.integers(1, heads + 1))} if rng.random() < 0.5 else set())
+    return [
+        HeadSpec("encoder", {layer}, {order[0]}, MaskSpec("binary"), "sasa"),
+        HeadSpec("encoder", {layer}, pascal, MaskSpec("pascal"), "pascal"),
+        HeadSpec("cross", {1, int(rng.integers(1, 3))}, agg, MaskSpec("binary"), "sacra"),
+    ]
+
+
+class TestStackedHeads:
+    """Heads as an array axis, against per-head draws and the per-head oracle."""
+
+    def model(self, specs, seed=41, **kw):
+        cfg = tiny_config(src_vocab=9, trg_vocab=9, d_model=12, heads=3, **kw)
+        model = Model(cfg, specs, seed=seed)
+        out_w = model.params["out.w"].data
+        out_w[:] = np.random.default_rng(seed + 1).normal(size=out_w.shape)
+        return model
+
+    @pytest.mark.parametrize("cross_heads", [set(), {1}, {2}, {3}, {1, 3}, {1, 2, 3}])
+    def test_initial_weights_stack_the_per_head_draws_bitwise(self, cross_heads):
+        specs = [HeadSpec("cross", {2}, cross_heads, MaskSpec("binary"))] if cross_heads else []
+        model = Model(tiny_config(d_model=12, heads=3), specs, seed=9)
+        draws = per_head_draws(model.cfg, model.cross_masked, seed=9)
+        drawn = {n for n, t in model.params.items() if t.data.any() and not n.endswith(".g")}
+        assert drawn == set(draws)
+        for name, arrays in draws.items():
+            expected = arrays[0] if len(arrays) == 1 else np.stack(arrays)
+            assert (model.params[name].data == expected).all(), name
+
+    def test_attention_tensors_are_stacked_per_layer(self):
+        cfg = ModelConfig(src_vocab=12, trg_vocab=12, d_model=32, heads=2, d_ff=128, max_len=32)
+        model = Model(cfg, [M.sasa_default(), M.sacra_default()], seed=7)
+        assert len(model.params) == 130
+        assert model.params["enc.3.attn.wq"].shape == (2, 32, 16)
+        assert model.params["enc.3.attn.wo"].shape == (2, 16, 32)
+        assert model.params["dec.1.cross.agg.wq"].shape == (1, 32, 32)
+        assert model.params["dec.1.cross.wk"].shape == (1, 32, 16)
+        assert "dec.0.cross.agg.wq" not in model.params
+
+    @pytest.mark.parametrize("agg_head", range(3))
+    def test_dense_oracle_on_sentences_and_padded_batches(self, agg_head):
+        rng = np.random.default_rng(50 + agg_head)
+        model = self.model(random_placement(rng, agg_head))
+        # B == H, where a [B, 1, n] padding bias or a head-less aggregated
+        # key would silently broadcast the batch against the heads
+        for n in (3, 5):
+            pairs, masks = mixed_batch(rng, n)
+            src, trg_in, gold, batch_masks = M.pad_batch(model, pairs, masks)
+            batched = model.forward(src, trg_in, batch_masks).data
+            for b, ((s, t), m) in enumerate(zip(pairs, masks)):
+                expected = dense_forward(model, s, [BOS] + t, m)
+                np.testing.assert_allclose(model.forward(s, [BOS] + t, m).data, expected,
+                                           rtol=0, atol=1e-10)
+                np.testing.assert_allclose(batched[b, : len(t) + 1], expected,
+                                           rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("agg_head", range(3))
+    def test_batch_gradients_match_summed_single_sentences(self, agg_head):
+        rng = np.random.default_rng(60 + agg_head)
+        model = self.model(random_placement(rng, agg_head))
+        pairs, masks = mixed_batch(rng, 3)  # B == H
+        src, trg_in, gold, batch_masks = M.pad_batch(model, pairs, masks)
+        batched = ad.cross_entropy_smoothed(model.forward(src, trg_in, batch_masks), gold, 0.1)
+        batched.backward()
+        grads = {n: t.grad.copy() for n, t in model.params.items()}
+        model.zero_grads()
+        total = 0.0
+        for (s, t), m in zip(pairs, masks):
+            loss = ad.cross_entropy_smoothed(model.forward(s, [BOS] + t, m), t + [EOS], 0.1)
+            loss.backward()
+            total += loss.item()
+        assert abs(batched.item() - total) <= 1e-10
+        for name, t in model.params.items():
+            np.testing.assert_allclose(grads[name], t.grad, rtol=0, atol=1e-10, err_msg=name)
+
+    def test_head_less_encoder_output_is_rejected(self):
+        rng = np.random.default_rng(70)
+        q = ad.Tensor(rng.normal(size=(2, 2, 3, 4)))  # [B, H, T, d] with B == H
+        x = ad.Tensor(rng.normal(size=(2, 5, 4)))
+        with pytest.raises(DimensionError):
+            M.sacra_attention_weights(q, x, 2, np.ones((2, 2, 5, 5)), lengths=[5, 4])
+
+    def test_empty_label_is_rejected(self):
+        with pytest.raises(ConfigError, match="non-empty label"):
+            HeadSpec("encoder", {1}, {1}, MaskSpec("binary"), "")
 
 
 def table_scorer(table, vocab_size):
