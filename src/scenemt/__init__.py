@@ -20,9 +20,9 @@ from .model import (  # noqa: F401
     Model,
     ModelConfig,
     TrainConfig,
+    aggregated_keys,
+    attention,
     beam_search,
-    sacra_attention,
-    sasa_attention,
     train,
     translate,
 )

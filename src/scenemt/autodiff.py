@@ -249,8 +249,15 @@ def softmax_rows(x):
 
 
 def embedding(table, ids):
-    """Gather rows of `table` (Tensor[V, d]) at integer positions `ids` (any shape)."""
+    """Gather rows of `table` (Tensor[V, d]) at integer positions `ids` (any shape).
+
+    An id outside [0, V) raises DimensionError naming the id and V.
+    """
     ids = np.asarray(ids, dtype=np.intp)
+    n_rows = table.data.shape[0]
+    outside = (ids < 0) | (ids >= n_rows)
+    if outside.any():
+        raise DimensionError(f"id {ids[outside][0]} lies outside the table of {n_rows} rows")
     out_data = table.data[ids]
 
     def backward(g):

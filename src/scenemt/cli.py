@@ -167,11 +167,12 @@ def _collect_specs(args):
     return [_parse_placement(text, default(), c) for text, default, c in flags if text is not None]
 
 
-def _build_masks(mask_specs, args, sentences=None):
-    """Each MaskSpec's masks, one per input record, from the mask-input flags.
+def _mask_records(mask_specs, args, sentences=None):
+    """One (cover, tree, alignment) record per input sentence, from the mask-input flags.
 
-    Given `sentences`, the inputs must hold one record per sentence and each
-    scene cover must match its sentence's length.
+    Only the inputs some MaskSpec needs are read, and a record holds None for
+    the others. Given `sentences`, the inputs must hold one record per
+    sentence and each scene cover must match its sentence's length.
     """
     n = None if sentences is None else len(sentences)
     covers = _load_covers(args, n) if any(m.needs_cover for m in mask_specs) else None
@@ -183,14 +184,18 @@ def _build_masks(mask_specs, args, sentences=None):
             raise DimensionError(f"cover {i} describes {cover.length} tokens, "
                                  f"sentence has {len(tokens)}")
     aligns = _read_alignments(args.alignment, n) if args.alignment else None
-    rows = list(zip(covers or [None] * n, trees or [None] * n, aligns or [None] * n))
-    return [[m.build(cover=c, ud=t, align=a) for c, t, a in rows] for m in mask_specs]
+    return list(zip(covers or [None] * n, trees or [None] * n, aligns or [None] * n))
 
 
-def _build_spec_masks(specs, sentences, args):
-    """Per-label mask matrices for every sentence, built once up front."""
-    built = _build_masks([s.mask for s in specs], args, sentences)
-    return {s.label: [m.values for m in masks] for s, masks in zip(specs, built)}
+def _record_masks(specs, record):
+    """{label: mask matrix} of each head spec for one (cover, tree, alignment) record."""
+    return {s.label: s.mask.build(*record).values for s in specs}
+
+
+def _spec_masks(specs, sentences, args):
+    """Each sentence's {label: mask matrix}, built once up front."""
+    records = _mask_records([s.mask for s in specs], args, sentences)
+    return [_record_masks(specs, r) for r in records]
 
 
 def _check_corpus(path, sentences, max_len, reserved=0):
@@ -273,11 +278,12 @@ def _load_model_dir(path):
 def cmd_masks(args, argv):
     spec = MaskSpec(args.family, args.C)
     out = _out_dir(args)
-    (built,) = _build_masks([spec], args)
-    for i, mask in enumerate(built):
-        (out / f"mask_{i:04d}.mask").write_text(masks_mod.write_mask(mask), encoding="utf-8")
-    _write_manifest(out, "masks", argv, args, [("count", len(built))])
-    print(f"wrote {len(built)} mask files to {out}")
+    records = _mask_records([spec], args)
+    for i, record in enumerate(records):
+        text = masks_mod.write_mask(spec.build(*record))
+        (out / f"mask_{i:04d}.mask").write_text(text, encoding="utf-8")
+    _write_manifest(out, "masks", argv, args, [("count", len(records))])
+    print(f"wrote {len(records)} mask files to {out}")
     return 0
 
 
@@ -293,7 +299,7 @@ def cmd_train(args, argv):
     # the decoder reads BOS before the target's first token
     _check_corpus(args.trg, trg_sents, args.max_len, reserved=1)
     specs = _collect_specs(args)
-    mask_table = _build_spec_masks(specs, src_sents, args)
+    sentence_masks = _spec_masks(specs, src_sents, args)
 
     src_vocab = Vocab.from_corpus(src_sents)
     trg_vocab = Vocab.from_corpus(trg_sents)
@@ -321,8 +327,7 @@ def cmd_train(args, argv):
         eval_every=args.eval_every,
         target_accuracy=args.target_accuracy,
     )
-    provider = (lambda i: {label: mats[i] for label, mats in mask_table.items()})
-    result = model_mod.train(pairs, model_cfg, train_cfg, specs, provider)
+    result = model_mod.train(pairs, model_cfg, train_cfg, specs, sentence_masks.__getitem__)
 
     _save_model_dir(out, result.model, src_vocab, trg_vocab)
     (out / "loss.txt").write_text(
@@ -353,14 +358,13 @@ def cmd_translate(args, argv):
     out = _out_dir(args)
     model, src_vocab, trg_vocab = _load_model_dir(args.model)
     sentences = _read_sentences(args.src)
-    mask_table = _build_spec_masks(model.head_specs, sentences, args)
+    sentence_masks = _spec_masks(model.head_specs, sentences, args)
     cfg = _decode_cfg(args)
     hyps = []
-    for i, tokens in enumerate(sentences):
+    for tokens, masks in zip(sentences, sentence_masks):
         if not tokens:
             hyps.append("")
             continue
-        masks = {label: mats[i] for label, mats in mask_table.items()}
         result = model_mod.translate(
             model, src_vocab.encode(tokens), masks, cfg, greedy=args.greedy
         )
@@ -391,12 +395,8 @@ def cmd_split(args, argv):
         pieces = sem_split(tokens, cover)
         translated = []
         for piece in pieces:
-            masks = {
-                spec.label: spec.mask.build(
-                    cover=_single_scene_cover(len(piece))
-                ).values
-                for spec in model.head_specs
-            }
+            record = (_single_scene_cover(len(piece)), None, None)
+            masks = _record_masks(model.head_specs, record)
             result = model_mod.translate(
                 model, src_vocab.encode(piece), masks, cfg, greedy=args.greedy
             )

@@ -111,30 +111,28 @@ def _ones_for_unassigned(values, cover):
         values[:, t] = 1.0
 
 
-def binary_scene_mask(cover):
-    """1 where tokens co-occur in at least one scene, 0 elsewhere."""
+def _scene_mask(cover, off_scene, family):
+    """1 where tokens co-occur in at least one scene, `off_scene` elsewhere."""
     L = cover.length
-    values = np.zeros((L, L))
+    values = np.full((L, L), off_scene)
     for scene in cover.scenes:
         idx = sorted(scene.tokens)
         values[np.ix_(idx, idx)] = 1.0
     np.fill_diagonal(values, 1.0)
     _ones_for_unassigned(values, cover)
-    return Mask(values, "binary")
+    return Mask(values, family)
+
+
+def binary_scene_mask(cover):
+    """1 where tokens co-occur in at least one scene, 0 elsewhere."""
+    return _scene_mask(cover, 0.0, "binary")
 
 
 def scaled_scene_mask(cover, c):
     """In-scene pairs stay at 1; everything else passes with weight C."""
     if not 0.0 < c < 1.0:
         raise ConfigError(f"scaled mask needs C in (0,1), got {c}")
-    L = cover.length
-    values = np.full((L, L), float(c))
-    for scene in cover.scenes:
-        idx = sorted(scene.tokens)
-        values[np.ix_(idx, idx)] = 1.0
-    np.fill_diagonal(values, 1.0)
-    _ones_for_unassigned(values, cover)
-    return Mask(values, "scaled")
+    return _scene_mask(cover, float(c), "scaled")
 
 
 def normal_scene_mask(cover, c):
@@ -149,6 +147,16 @@ def normal_scene_mask(cover, c):
     return Mask(values, "normal")
 
 
+def _tree_alignment(ud, align):
+    """`align`, or one subword per word, checked against the tree's word count."""
+    align = align if align is not None else Alignment.identity(ud.length)
+    if align.n_words != ud.length:
+        raise DimensionError(
+            f"alignment covers {align.n_words} words, tree has {ud.length}"
+        )
+    return align
+
+
 def pascal_mask(ud, align=None):
     """Gaussian (sigma=1) centered on each token's parent midpoint.
 
@@ -156,11 +164,7 @@ def pascal_mask(ud, align=None):
     p_t is the (possibly fractional) midpoint of the parent word's subword
     span; the root's parent is itself.
     """
-    align = align if align is not None else Alignment.identity(ud.length)
-    if align.n_words != ud.length:
-        raise DimensionError(
-            f"alignment covers {align.n_words} words, tree has {ud.length}"
-        )
+    align = _tree_alignment(ud, align)
     n = align.n_subwords
     positions = np.arange(n, dtype=np.float64)
     values = np.empty((n, n))
@@ -175,11 +179,7 @@ def pascal_mask(ud, align=None):
 
 def udiscal_mask(ud, align=None):
     """Gaussian (sigma=1) of undirected dependency-tree distance."""
-    align = align if align is not None else Alignment.identity(ud.length)
-    if align.n_words != ud.length:
-        raise DimensionError(
-            f"alignment covers {align.n_words} words, tree has {ud.length}"
-        )
+    align = _tree_alignment(ud, align)
     word_values = f_norm(ud_tree_distances(ud), 1.0)
     return expand_to_subwords(Mask(word_values, "udiscal"), align)
 

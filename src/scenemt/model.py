@@ -1,12 +1,14 @@
 """Encoder-decoder transformer with pluggable scene-aware attention heads.
 
-Designated encoder self-attention heads multiply their post-softmax weights
-elementwise by a structural mask (scene, parent-Gaussian, or tree-distance
-families all plug in the same way, after the softmax). Designated decoder
-cross-attention heads instead aggregate the encoder output over the mask to
-form their keys, so source tokens with identical mask rows become
-indistinguishable to every query. Unmasked heads are plain scaled
-dot-product attention.
+Every head goes through one routine, `attention`: scaled dot-product
+attention whose post-softmax weights a designated encoder self-attention
+head multiplies elementwise by a structural mask (scene, parent-Gaussian, or
+tree-distance families all plug in the same way, after the softmax).
+Designated decoder cross-attention heads instead take `aggregated_keys`, the
+encoder output summed over the mask, so source tokens with identical mask
+rows become indistinguishable to every query. A mask is checked once where
+it enters (`check_mask`): per label in each `encode` or `decode` call, and
+per pair before `train` takes its first step.
 
 Training is a single deterministic stream: Adam on a Noam-shaped learning
 rate, label-smoothed per-token cross entropy, seeded parameter init and
@@ -137,22 +139,27 @@ class DecodeConfig:
             raise ConfigError("beam width must be at least 1")
 
 
-# -- attention operations ----------------------------------------------------------
+# -- attention ----------------------------------------------------------------------
 #
 # Each routine takes one sentence as [L, d] tensors, or stacks of them: a padded
-# batch [B, L, d], heads [H, L, d], or both [B, H, L, d]. In a batch `lengths`
-# holds each sentence's true key length; keys past it get NEG_BIAS before the
-# softmax, so they receive exactly zero weight.
+# batch [B, L, d], heads [H, L, d], or both [B, H, L, d]. In a batch, keys past
+# each sentence's true length get NEG_BIAS before the softmax (_key_bias), so
+# they receive exactly zero weight.
 
 
-def _check_mask(mask, shape):
+def check_mask(mask, label, shape):
+    """The mask of head label `label` as a float array, checked where it enters.
+
+    A missing mask raises ConfigError; a shape other than `shape` or a value
+    outside [0, 1] raises DimensionError.
+    """
+    if mask is None:
+        raise ConfigError(f"missing mask {label!r} for a configured head")
     mask = np.asarray(mask, dtype=np.float64)
     if mask.shape != shape:
-        raise DimensionError(
-            f"mask shape {mask.shape} does not match source length {shape[-1]}"
-        )
+        raise DimensionError(f"mask {label!r} has shape {mask.shape}, expected {shape}")
     if mask.min(initial=0.0) < 0.0 or mask.max(initial=0.0) > 1.0:
-        raise DimensionError("mask values must lie in [0, 1]")
+        raise DimensionError(f"mask {label!r} values must lie in [0, 1]")
     return mask
 
 
@@ -161,57 +168,42 @@ def _per_sentence(values, ndim):
     return np.asarray(values).reshape((-1,) + (1,) * (ndim - 1))
 
 
-def _attention_logits(q, k, d_k, causal=False, lengths=None):
-    logits = ad.matmul(q, ad.transpose(k)) * (1.0 / math.sqrt(d_k))
-    bias = _causal_bias(q.shape[-2]) if causal else None
-    if lengths is not None:
-        keys = np.arange(k.shape[-2])
-        padding = np.where(keys >= _per_sentence(lengths, logits.data.ndim), NEG_BIAS, 0.0)
-        bias = padding if bias is None else bias + padding
-    return logits if bias is None else ad.add(logits, Tensor(bias))
+def attention(q, k, v, bias=None, mask=None):
+    """softmax(q k^T / sqrt(d_v) + bias) v, the weights first multiplied by `mask`.
 
-
-def vanilla_attention(q, k, v, causal=False, lengths=None):
-    """Scaled dot-product attention; optionally causally blocked."""
-    s = ad.softmax_rows(_attention_logits(q, k, q.shape[-1], causal, lengths))
-    return ad.matmul(s, v)
-
-
-def sasa_attention(q, k, v, mask, lengths=None):
-    """Self-attention whose post-softmax weights are masked elementwise.
-
-    No renormalization happens after masking, so a row's weights sum to at
-    most 1 (exactly 1 only under an all-ones mask row).
+    The mask multiplies the post-softmax weights with no renormalization, so
+    a row's weights sum to at most 1 (exactly 1 only under an all-ones mask
+    row). This is the only place a mask meets attention weights.
     """
-    mask = _check_mask(mask, q.shape[:-1] + (q.shape[-2],))
-    s = ad.softmax_rows(_attention_logits(q, k, q.shape[-1], lengths=lengths))
-    return ad.matmul(ad.mul(s, Tensor(mask)), v)
+    logits = ad.matmul(q, ad.transpose(k)) * (1.0 / math.sqrt(v.shape[-1]))
+    s = ad.softmax_rows(logits if bias is None else ad.add(logits, bias))
+    return ad.matmul(s if mask is None else ad.mul(s, mask), v)
 
 
-def sacra_attention_weights(q_dec, x_enc, d_k, mask, lengths=None):
-    """Attention weights over scene-aggregated keys.
+def aggregated_keys(x_enc, mask, lengths=None):
+    """Scene-aggregated keys (mask @ x_enc) / L_src.
 
-    Keys are (mask @ x_enc) / L_src: each source position's key is the sum
-    of encoder outputs over the positions its mask row admits, scaled by the
-    source length. Source tokens with identical mask rows get identical keys
-    and therefore identical weight columns. Queries must be d_model wide.
-    With a head axis, x_enc carries it too (as a 1). In a padded batch L_src
-    is each sentence's true length, not the padded one.
+    Each source position's key is the sum of encoder outputs over the
+    positions its mask row admits, scaled by the source length, so source
+    tokens with identical mask rows get identical keys and identical weight
+    columns. With a head axis on the mask, x_enc carries it too (as a 1). In
+    a padded batch L_src is each sentence's true length, not the padded one.
     """
-    l_src = x_enc.shape[-2]
-    mask = _check_mask(mask, q_dec.shape[:-2] + (l_src, l_src))
     # with a head axis missing from x_enc, the batch would meet the heads
-    if q_dec.shape[-1] != x_enc.shape[-1] or q_dec.data.ndim != x_enc.data.ndim:
-        raise DimensionError("queries for aggregated keys need the encoder's width and axes")
-    scale = 1.0 / l_src if lengths is None else 1.0 / _per_sentence(lengths, mask.ndim)
-    k_tilde = ad.matmul(Tensor(mask), x_enc) * scale
-    return ad.softmax_rows(_attention_logits(q_dec, k_tilde, d_k, lengths=lengths))
+    ndim = np.ndim(mask)
+    if x_enc.data.ndim != ndim:
+        raise DimensionError("the encoder output needs the mask's axes")
+    scale = 1.0 / x_enc.shape[-2] if lengths is None else 1.0 / _per_sentence(lengths, ndim)
+    return ad.matmul(mask, x_enc) * scale
 
 
-def sacra_attention(q_dec, x_enc, v, mask, lengths=None):
-    """Cross-attention over scene-aggregated keys; scaling uses the value width."""
-    weights = sacra_attention_weights(q_dec, x_enc, v.shape[-1], mask, lengths)
-    return ad.matmul(weights, v)
+def _key_bias(lengths, n_keys, causal=False):
+    """The additive bias hiding causally blocked and padded keys from [B, H, L, n] logits."""
+    bias = _causal_bias(n_keys) if causal else None
+    if lengths is not None:
+        padding = np.where(np.arange(n_keys) >= _per_sentence(lengths, 4), NEG_BIAS, 0.0)
+        bias = padding if bias is None else bias + padding
+    return bias
 
 
 @functools.lru_cache(maxsize=None)
@@ -377,35 +369,29 @@ class Model:
         """Each head's [..., H, L, d_k] output through its wo, summed over heads."""
         return ad.sum_axis(ad.matmul(o, self.params[f"{prefix}.wo"]), -3)
 
-    def _mask_for(self, masks, label, shape):
-        if label not in masks:
-            raise ConfigError(f"missing mask {label!r} for a configured head")
-        mask = np.asarray(masks[label])
-        if mask.shape != shape:
-            raise DimensionError(f"mask {label!r} has shape {mask.shape}, expected {shape}")
-        return mask
+    @staticmethod
+    def _mask_stacks(masks, rows, shape):
+        """Each row's [..., H, L, L] stack of its heads' masks, or None for a row with no label.
 
-    def _mask_stack(self, masks, labels, shape):
-        """[..., H, L, L] masks of the heads labelled `labels`; "" gets all ones."""
-        names, index = np.unique(labels, return_inverse=True)
-        stack = [self._mask_for(masks, n, shape) if n else np.ones(shape) for n in names]
-        return np.stack(stack, axis=-3)[..., index, :, :]
+        Each label in `rows` is checked once; a plain ("") head gets all ones.
+        """
+        masks = masks or {}
+        labels = sorted({label for row in rows for label in row} - {""})
+        checked = {label: check_mask(masks.get(label), label, shape) for label in labels}
+        checked[""] = np.ones(shape)
+        return [np.stack([checked[label] for label in row], axis=-3) if (row != "").any()
+                else None for row in rows]
 
     def encode(self, src_ids, masks=None):
-        masks = masks or {}
         ids = np.asarray(src_ids, dtype=np.intp)
-        lengths = _lengths(ids)
-        mask_shape = ids.shape + ids.shape[-1:]
+        bias = _key_bias(_lengths(ids), ids.shape[-1])
         x = self._embed(self.params["src_emb"], ids)
-        for l, labels in enumerate(self.enc_masked):
+        stacks = self._mask_stacks(masks, self.enc_masked, ids.shape + ids.shape[-1:])
+        for l, stack in enumerate(stacks):
             pre = f"enc.{l}.attn"
             xh = _heads(x)
             q, k, v = self._qkv(pre, xh, xh)
-            if (labels != "").any():
-                stack = self._mask_stack(masks, labels, mask_shape)
-                o = sasa_attention(q, k, v, stack, lengths)
-            else:
-                o = vanilla_attention(q, k, v, lengths=lengths)
+            o = attention(q, k, v, bias, stack)
             x = self._sublayer_norm(f"enc.{l}.ln1", x, self._heads_out(pre, o))
             x = self._sublayer_norm(f"enc.{l}.ln2", x, self._ffn(f"enc.{l}", x))
         return x
@@ -416,32 +402,32 @@ class Model:
         For a padded batch, `src_lengths` holds each sentence's true source
         length (forward passes it); for one sentence it stays None.
         """
-        masks = masks or {}
         p = self.params
         ids = np.asarray(trg_in_ids, dtype=np.intp)
-        trg_lengths = _lengths(ids)
-        mask_shape = enc_out.shape[:-1] + enc_out.shape[-2:-1]
+        self_bias = _key_bias(_lengths(ids), ids.shape[-1], causal=True)
+        cross_bias = _key_bias(src_lengths, enc_out.shape[-2])
         xh = _heads(enc_out)
         y = self._embed(p["trg_emb"], ids)
-        for l, labels in enumerate(self.cross_masked):
+        agg = self.cross_masked != ""
+        stacks = self._mask_stacks(masks, [row[a] for row, a in zip(self.cross_masked, agg)],
+                                   enc_out.shape[:-1] + enc_out.shape[-2:-1])
+        for l, stack in enumerate(stacks):
             pre = f"dec.{l}.self"
             yh = _heads(y)
             q, k, v = self._qkv(pre, yh, yh)
-            o = vanilla_attention(q, k, v, causal=True, lengths=trg_lengths)
-            y = self._sublayer_norm(f"dec.{l}.ln1", y, self._heads_out(pre, o))
+            y = self._sublayer_norm(f"dec.{l}.ln1", y,
+                                    self._heads_out(pre, attention(q, k, v, self_bias)))
 
-            yh, agg = _heads(y), labels != ""
-            cross = None
-            if not agg.all():
+            yh, cross = _heads(y), None
+            if not agg[l].all():
                 pre = f"dec.{l}.cross"
                 q, k, v = self._qkv(pre, yh, xh)
-                o = vanilla_attention(q, k, v, lengths=src_lengths)
-                cross = self._heads_out(pre, o)
-            if agg.any():
+                cross = self._heads_out(pre, attention(q, k, v, cross_bias))
+            if stack is not None:
                 pre = f"dec.{l}.cross.agg"
                 q, v = ad.matmul(yh, p[f"{pre}.wq"]), ad.matmul(xh, p[f"{pre}.wv"])
-                stack = self._mask_stack(masks, labels[agg], mask_shape)
-                o = self._heads_out(pre, sacra_attention(q, xh, v, stack, src_lengths))
+                k = aggregated_keys(xh, stack, src_lengths)
+                o = self._heads_out(pre, attention(q, k, v, cross_bias))
                 cross = o if cross is None else ad.add(cross, o)
             y = self._sublayer_norm(f"dec.{l}.ln2", y, cross)
             y = self._sublayer_norm(f"dec.{l}.ln3", y, self._ffn(f"dec.{l}", y))
@@ -501,7 +487,8 @@ def pad_batch(model, pairs, pair_masks):
     Returns (src, trg_in, gold, masks): src [B, S] and trg_in [B, T] ids
     padded with PAD (trg_in starts with BOS), gold [B, T] target ids ending
     in EOS and padded with -1 (rows the loss skips), and for each label a
-    configured head uses, the masks zero-padded to [B, S, S].
+    configured head uses, the masks zero-padded to [B, S, S]. The masks are
+    copied as given: train checks every pair's masks before its first step.
     """
     n = len(pairs)
     s_len = max(len(src) for src, _ in pairs)
@@ -509,20 +496,19 @@ def pad_batch(model, pairs, pair_masks):
     src_b = np.full((n, s_len), PAD, dtype=np.intp)
     trg_in = np.full((n, t_len), PAD, dtype=np.intp)
     gold = np.full((n, t_len), -1, dtype=np.intp)
-    labels = sorted((set(model.enc_masked.flat) | set(model.cross_masked.flat)) - {""})
-    masks = {label: np.zeros((n, s_len, s_len)) for label in labels}
+    masks = {spec.label: np.zeros((n, s_len, s_len)) for spec in model.head_specs}
     for b, ((src, trg), pm) in enumerate(zip(pairs, pair_masks)):
         ls, lt = len(src), len(trg) + 1
         src_b[b, :ls] = src
         trg_in[b, :lt] = [BOS, *trg]
         gold[b, :lt] = [*trg, EOS]
         for label, batch_mask in masks.items():
-            batch_mask[b, :ls, :ls] = model._mask_for(pm, label, (ls, ls))
+            batch_mask[b, :ls, :ls] = pm[label]
     return src_b, trg_in, gold, masks
 
 
 def token_accuracy(model, pairs, mask_provider=None):
-    """Teacher-forced argmax accuracy over all target tokens."""
+    """Teacher-forced argmax accuracy over all target tokens (masks as train checks them)."""
     provider = mask_provider or (lambda i: {})
     correct = total = 0
     with ad.no_grad():
@@ -542,20 +528,22 @@ def train(pairs, model_cfg, train_cfg, head_specs=(), mask_provider=None):
     """Train on (src_ids, trg_ids) pairs; deterministic given the seed.
 
     Each step runs one forward and one backward pass over the whole batch,
-    padded with pad_batch. Raises ConfigError before the first step if any
-    pair lacks a mask for a configured head spec or holds the reserved PAD
-    id, and NumericError (with the step index) if the loss goes non-finite.
+    padded with pad_batch. Before the first step, every pair's masks go
+    through check_mask (the error names the pair), and a pair holding the
+    reserved PAD id raises ConfigError. Raises NumericError (with the step
+    index) if the loss goes non-finite.
     """
     provider = mask_provider or (lambda i: {})
-    labels = {spec.label for spec in head_specs}
+    labels = sorted(spec.label for spec in head_specs)
     for i, (src, trg) in enumerate(pairs):
         if PAD in src or PAD in trg:
             raise ConfigError(f"pair {i} holds the reserved padding id {PAD}")
-        missing = labels - set(provider(i))
-        if missing:
-            raise ConfigError(
-                f"pair {i} lacks masks for head specs: {sorted(missing)}"
-            )
+        pair_masks = provider(i)
+        try:
+            for label in labels:
+                check_mask(pair_masks.get(label), label, (len(src), len(src)))
+        except (ConfigError, DimensionError) as exc:
+            raise type(exc)(f"pair {i}: {exc}") from None
 
     model = Model(model_cfg, head_specs, seed=train_cfg.seed)
     batch_rng = np.random.default_rng(train_cfg.seed + 1)

@@ -196,6 +196,19 @@ def test_embedding_gradient_accumulates_repeats():
     np.testing.assert_array_equal(table.grad, expected)
 
 
+def test_embedding_rejects_an_id_past_the_table():
+    table = ad.Tensor(np.zeros((5, 3)))
+    with pytest.raises(DimensionError, match="id 5 lies outside the table of 5 rows"):
+        ad.embedding(table, [[1, 2], [4, 5]])
+
+
+def test_embedding_rejects_a_negative_id():
+    # numpy would gather the last row for -1
+    table = ad.Tensor(np.zeros((5, 3)))
+    with pytest.raises(DimensionError, match="id -1 lies outside the table of 5 rows"):
+        ad.embedding(table, [0, -1, 2])
+
+
 def test_layer_norm_rows_are_standardized():
     rng = np.random.default_rng(5)
     x = ad.Tensor(rng.normal(loc=3.0, scale=2.0, size=(6, 16)))

@@ -17,18 +17,26 @@ from scenemt.model import (
     Model,
     ModelConfig,
     TrainConfig,
+    aggregated_keys,
+    attention,
     beam_search,
     greedy_decode,
     lr_schedule,
-    sacra_attention,
-    sasa_attention,
     train,
     translate,
-    vanilla_attention,
 )
 from scenemt.textpipe import BOS, EOS, PAD
 from scenemt.toydata import copy_task
 from scenemt.masks import binary_scene_mask
+
+
+# masks for a 3-token source that must be refused where they enter
+BAD_MASKS = pytest.mark.parametrize("mask,error,match", [
+    (None, ConfigError, "missing mask 'm'"),
+    (np.ones((2, 2)), DimensionError, r"mask 'm' has shape \(2, 2\), expected \(3, 3\)"),
+    (np.full((3, 3), 1.5), DimensionError, "mask 'm' values must lie in"),
+    (np.full((3, 3), -0.5), DimensionError, "mask 'm' values must lie in"),
+], ids=["missing", "shape", "above-one", "negative"])
 
 
 def rand_qkv(rng, L, d):
@@ -42,14 +50,14 @@ class TestSasaAttention:
             L = int(rng.integers(1, 17))
             d = int(rng.integers(1, 33))
             q, k, v = rand_qkv(rng, L, d)
-            masked = sasa_attention(q, k, v, np.ones((L, L)))
-            plain = vanilla_attention(q, k, v)
+            masked = attention(q, k, v, mask=np.ones((L, L)))
+            plain = attention(q, k, v)
             assert (masked.data == plain.data).all()
 
     def test_length_one_returns_value_row(self):
         rng = np.random.default_rng(101)
         q, k, v = rand_qkv(rng, 1, 5)
-        out = sasa_attention(q, k, v, np.ones((1, 1)))
+        out = attention(q, k, v, mask=np.ones((1, 1)))
         np.testing.assert_array_equal(out.data, v.data)
 
     def test_block_diagonal_matches_dense_oracle(self):
@@ -59,7 +67,7 @@ class TestSasaAttention:
         mask[:2, :2] = 1.0
         mask[2:, 2:] = 1.0
         q, k, v = rand_qkv(rng, L, d)
-        out = sasa_attention(q, k, v, mask).data
+        out = attention(q, k, v, mask=mask).data
 
         logits = q.data @ k.data.T / math.sqrt(d)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -75,10 +83,10 @@ class TestSasaAttention:
         mask[np.ix_([0, 1, 2], [0, 1, 2])] = 1.0
         mask[np.ix_([3, 4, 5], [3, 4, 5])] = 1.0
         q, k, v = rand_qkv(rng, L, d)
-        base = sasa_attention(q, k, v, mask).data
+        base = attention(q, k, v, mask=mask).data
         v_zeroed = v.data.copy()
         v_zeroed[3:] = 0.0
-        alt = sasa_attention(q, k, ad.Tensor(v_zeroed), mask).data
+        alt = attention(q, k, ad.Tensor(v_zeroed), mask=mask).data
         np.testing.assert_array_equal(base[:3], alt[:3])
 
     def test_row_sums_after_masking(self):
@@ -100,16 +108,19 @@ class TestSasaAttention:
                 assert sums[i] < 1.0
 
     def test_mask_dimension_mismatch(self):
-        rng = np.random.default_rng(105)
-        q, k, v = rand_qkv(rng, 4, 3)
-        with pytest.raises(DimensionError):
-            sasa_attention(q, k, v, np.ones((3, 3)))
+        # masks are checked where they enter the model: encode for sasa heads
+        model = Model(tiny_config(), [HeadSpec("encoder", {2}, {1}, MaskSpec("binary"), "sasa")],
+                      seed=0)
+        with pytest.raises(DimensionError, match=r"'sasa' has shape \(3, 3\), expected \(4, 4\)"):
+            model.encode([1, 2, 3, 4], {"sasa": np.ones((3, 3))})
 
     def test_mask_range_checked(self):
-        rng = np.random.default_rng(106)
-        q, k, v = rand_qkv(rng, 2, 2)
-        with pytest.raises(DimensionError):
-            sasa_attention(q, k, v, np.full((2, 2), 1.5))
+        # and decode for aggregated-key heads
+        model = Model(tiny_config(), [HeadSpec("cross", {2}, {1}, MaskSpec("binary"), "sacra")],
+                      seed=0)
+        enc_out = model.encode([1, 2])
+        with pytest.raises(DimensionError, match="mask 'sacra' values must lie in"):
+            model.decode([BOS, 3], enc_out, {"sacra": np.full((2, 2), 1.5)})
 
 
 class TestSacraAttention:
@@ -119,7 +130,7 @@ class TestSacraAttention:
         x = ad.Tensor(rng.normal(size=(l_src, d)))
         v = ad.Tensor(rng.normal(size=(l_src, dk)))
         q = ad.Tensor(rng.normal(size=(l_trg, d)))
-        out = sacra_attention(q, x, v, np.ones((l_src, l_src))).data
+        out = attention(q, aggregated_keys(x, np.ones((l_src, l_src))), v).data
         # identical keys -> uniform attention -> every row is mean of V
         np.testing.assert_allclose(out, np.tile(v.data.mean(axis=0), (l_trg, 1)),
                                    atol=1e-12)
@@ -152,7 +163,7 @@ class TestSacraAttention:
         for i in range(3):
             for col in range(4):
                 hand[i, col] = sum(mask[i, j] * x.data[j, col] for j in range(3)) / 3
-        k_tilde = (ad.matmul(ad.Tensor(mask), x) * (1 / 3)).data
+        k_tilde = aggregated_keys(x, mask).data
         np.testing.assert_allclose(k_tilde, hand, atol=1e-15)
         assert (k_tilde[0] == k_tilde[1]).all()
 
@@ -162,7 +173,7 @@ class TestSacraAttention:
         v = ad.Tensor(rng.normal(size=(3, 2)))
         q = ad.Tensor(rng.normal(size=(2, 2)))  # too narrow
         with pytest.raises(DimensionError):
-            sacra_attention(q, x, v, np.ones((3, 3)))
+            attention(q, aggregated_keys(x, np.ones((3, 3))), v)
 
 
 class TestLrSchedule:
@@ -367,6 +378,42 @@ class TestForward:
         with pytest.raises(DimensionError):
             model.forward([1, 2, 3], [BOS, 3], {"sasa": np.ones((2, 2))})
 
+    @pytest.mark.parametrize("site", ["encoder", "cross"])
+    @BAD_MASKS
+    def test_bad_masks_are_refused_by_encode_and_decode(self, site, mask, error, match):
+        model = Model(tiny_config(), [HeadSpec(site, {2}, {1}, MaskSpec("binary"), "m")], seed=0)
+        masks = {} if mask is None else {"m": mask}
+        with pytest.raises(error, match=match):
+            if site == "encoder":
+                model.encode([1, 2, 3], masks)
+            else:
+                model.decode([BOS, 4], model.encode([1, 2, 3]), masks)
+
+    def test_each_label_is_checked_once_per_forward(self, monkeypatch):
+        # sasa and pascal share an encoder layer, sasa and sacra span two
+        # layers each: still one check per label, never one per layer
+        specs = [
+            HeadSpec("encoder", {1, 2}, {1}, MaskSpec("binary"), "sasa"),
+            HeadSpec("encoder", {2}, {2}, MaskSpec("pascal"), "pascal"),
+            HeadSpec("cross", {1, 2}, {2}, MaskSpec("binary"), "sacra"),
+        ]
+        model = Model(tiny_config(), specs, seed=0)
+        calls = []
+        check = M.check_mask
+
+        def counting_check(mask, label, shape):
+            calls.append(label)
+            return check(mask, label, shape)
+
+        monkeypatch.setattr(M, "check_mask", counting_check)
+        pairs, masks = mixed_batch(np.random.default_rng(7), n=3)
+        src, trg_in, _, batch_masks = M.pad_batch(model, pairs, masks)
+        (one_src, one_trg), one_masks = pairs[0], masks[0]
+        for forward_args in [(one_src, [BOS] + one_trg, one_masks), (src, trg_in, batch_masks)]:
+            calls.clear()
+            model.forward(*forward_args)
+            assert sorted(calls) == ["pascal", "sacra", "sasa"]
+
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
             Model(tiny_config(), [HeadSpec("encoder", {9}, {1}, MaskSpec("binary"))])
@@ -488,9 +535,31 @@ class TestTraining:
                           d_model=8, enc_layers=2, dec_layers=2, heads=2,
                           d_ff=16, max_len=16)
         spec = HeadSpec("encoder", {1}, {1}, MaskSpec("binary"), "sasa")
-        with pytest.raises(ConfigError, match="lacks masks"):
+        with pytest.raises(ConfigError, match="pair 0: missing mask 'sasa'"):
             train(pairs, cfg, TrainConfig(steps=1, batch_size=2, seed=0),
                   [spec], lambda i: {})
+
+    @BAD_MASKS
+    def test_bad_mask_fails_before_training_naming_the_pair(self, monkeypatch,
+                                                             mask, error, match):
+        pairs, vocab, _ = self.make_task()
+        pairs[5] = ([4, 5, 6], [4, 5, 6])
+        cfg = ModelConfig(src_vocab=len(vocab), trg_vocab=len(vocab),
+                          d_model=8, enc_layers=2, dec_layers=2, heads=2,
+                          d_ff=16, max_len=16)
+        spec = HeadSpec("cross", {1}, {1}, MaskSpec("binary"), "m")
+
+        def provider(i):
+            if i == 5:
+                return {} if mask is None else {"m": mask}
+            return {"m": np.ones((len(pairs[i][0]),) * 2)}
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("the model was built before the masks were checked")
+
+        monkeypatch.setattr(M, "Model", no_model)
+        with pytest.raises(error, match=f"pair 5: {match}"):
+            train(pairs, cfg, TrainConfig(steps=1, batch_size=2, seed=0), [spec], provider)
 
     def test_step_one_loss_is_the_per_pair_sum_over_the_seeded_batch(self, monkeypatch):
         pairs, vocab, provider = self.make_task()
@@ -624,11 +693,15 @@ class TestBatchedForward:
         mask = np.zeros((2, 5, 5))
         mask[0, :3, :3] = 1.0
         mask[1] = 1.0
-        w = M.sacra_attention_weights(q, x, 2, mask, lengths=np.array([3, 5])).data
-        solo = M.sacra_attention_weights(
-            ad.Tensor(q.data[0]), ad.Tensor(x.data[0, :3]), 2, mask[0, :3, :3]
-        ).data
-        np.testing.assert_allclose(w[0, :, :3], solo, rtol=0, atol=1e-15)
+        lengths = np.array([3, 5])
+        keys = aggregated_keys(x, mask, lengths)
+        solo_keys = aggregated_keys(ad.Tensor(x.data[0, :3]), mask[0, :3, :3])
+        np.testing.assert_allclose(keys.data[0, :3], solo_keys.data, rtol=0, atol=1e-15)
+        # one-hot values read the weights out; the padded keys get none
+        bias = np.where(np.arange(5) >= lengths[:, None, None], M.NEG_BIAS, 0.0)
+        w = attention(q, keys, ad.Tensor(np.eye(5)), bias).data
+        solo = attention(ad.Tensor(q.data[0]), solo_keys, ad.Tensor(np.eye(5)[:3])).data
+        np.testing.assert_allclose(w[0], solo, rtol=0, atol=1e-15)
         assert (w[0, :, 3:] == 0.0).all()
 
     def test_batched_mask_shape_checked(self):
@@ -751,10 +824,9 @@ class TestStackedHeads:
 
     def test_head_less_encoder_output_is_rejected(self):
         rng = np.random.default_rng(70)
-        q = ad.Tensor(rng.normal(size=(2, 2, 3, 4)))  # [B, H, T, d] with B == H
-        x = ad.Tensor(rng.normal(size=(2, 5, 4)))
+        x = ad.Tensor(rng.normal(size=(2, 5, 4)))  # [B, L, d] against a [B, H, L, L] mask, B == H
         with pytest.raises(DimensionError):
-            M.sacra_attention_weights(q, x, 2, np.ones((2, 2, 5, 5)), lengths=[5, 4])
+            aggregated_keys(x, np.ones((2, 2, 5, 5)), lengths=[5, 4])
 
     def test_empty_label_is_rejected(self):
         with pytest.raises(ConfigError, match="non-empty label"):
