@@ -7,13 +7,18 @@ tree-distance families all plug in the same way, after the softmax).
 Designated decoder cross-attention heads instead take `aggregated_keys`, the
 encoder output summed over the mask, so source tokens with identical mask
 rows become indistinguishable to every query. A mask is checked once where
-it enters (`check_mask`): per label in each `encode` or `decode` call, and
-per pair before `train` takes its first step.
+it enters (`check_mask`): per label in each `encode` call and each decoder
+state (one per `decode` pass, one per `translate`), and per pair before
+`train` or `token_accuracy` runs its first forward pass.
 
 Training is a single deterministic stream: Adam on a Noam-shaped learning
 rate, label-smoothed per-token cross entropy, seeded parameter init and
 batch order, with each step's pairs padded into one batch and run as one
-graph. Decoding is beam search with GNMT-style length normalization.
+graph. Decoding is beam search with GNMT-style length normalization,
+incremental as in the autoregressive decoder of Vaswani et al. 2017: the
+source side of every decoder layer is built once per sentence, and each
+step runs all live hypotheses through the decoder as one batch, reusing
+their cached self-attention keys and values.
 """
 
 from __future__ import annotations
@@ -233,6 +238,39 @@ def _heads(x):
     return ad.reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
 
 
+class DecoderState:
+    """The decoder's view of one source, kept between calls (see Model.decoder_state).
+
+    `cross[l]` holds layer l's source side: the plain heads' (keys, values)
+    and the aggregated-key heads' (aggregated keys, values), each None where
+    the layer has no such head; `bias` hides padded source keys. A cached
+    state also keeps, per layer, the self-attention (keys, values) of the
+    `steps` positions decoded so far, as [n, H, steps, d_k] arrays for the n
+    live prefixes.
+    """
+
+    def __init__(self, cross, bias, cached):
+        self.cross, self.bias = cross, bias
+        self.self_kv = [None] * len(cross) if cached else None
+        self.steps = 0
+
+    def extend(self, l, k, v):
+        """Layer l's self-attention keys and values, the cached ones first."""
+        if self.self_kv is None:
+            return k, v
+        kv = (k.data, v.data)
+        if self.steps:
+            kv = tuple(np.concatenate(pair, axis=-2) for pair in zip(self.self_kv[l], kv))
+        self.self_kv[l] = kv
+        return Tensor(kv[0]), Tensor(kv[1])
+
+    def reorder(self, parents):
+        """Row i's cache becomes that of row parents[i] of the previous step."""
+        if self.steps:
+            self.self_kv = [tuple(np.take(a, parents, axis=0) for a in kv)
+                            for kv in self.self_kv]
+
+
 class Model:
     """Attention weights stack heads (wq, wk, wv: [H, d, d_k]; wo: [H, d_k, d]); cross-
     attention has plain (dec.{l}.cross.*) and aggregated-key heads (dec.{l}.cross.agg.*)."""
@@ -344,12 +382,13 @@ class Model:
     # batch as a [B, L] id array padded at the end with PAD, whose masks are
     # [B, L, L] arrays padded with zeros (see pad_batch).
 
-    def _embed(self, table, ids):
-        n = ids.shape[-1]
-        if n > self.cfg.max_len:
-            raise DimensionError(f"sequence of {n} exceeds max length {self.cfg.max_len}")
+    def _embed(self, table, ids, start=0):
+        """Scaled embeddings of `ids` plus the position codes from `start` on."""
+        end = start + ids.shape[-1]
+        if end > self.cfg.max_len:
+            raise DimensionError(f"sequence of {end} exceeds max length {self.cfg.max_len}")
         x = ad.embedding(table, ids) * math.sqrt(self.cfg.d_model)
-        return ad.add(x, Tensor(self.positions[:n]))
+        return ad.add(x, Tensor(self.positions[start:end]))
 
     def _ffn(self, prefix, x):
         p = self.params
@@ -360,10 +399,9 @@ class Model:
         p = self.params
         return ad.layer_norm(ad.add(x, sub), p[f"{prefix}.g"], p[f"{prefix}.b"])
 
-    def _qkv(self, prefix, x_q, x_kv):
+    def _qkv(self, prefix, x):
         p = self.params
-        return (ad.matmul(x_q, p[f"{prefix}.wq"]), ad.matmul(x_kv, p[f"{prefix}.wk"]),
-                ad.matmul(x_kv, p[f"{prefix}.wv"]))
+        return tuple(ad.matmul(x, p[f"{prefix}.{w}"]) for w in ("wq", "wk", "wv"))
 
     def _heads_out(self, prefix, o):
         """Each head's [..., H, L, d_k] output through its wo, summed over heads."""
@@ -390,47 +428,70 @@ class Model:
         for l, stack in enumerate(stacks):
             pre = f"enc.{l}.attn"
             xh = _heads(x)
-            q, k, v = self._qkv(pre, xh, xh)
+            q, k, v = self._qkv(pre, xh)
             o = attention(q, k, v, bias, stack)
             x = self._sublayer_norm(f"enc.{l}.ln1", x, self._heads_out(pre, o))
             x = self._sublayer_norm(f"enc.{l}.ln2", x, self._ffn(f"enc.{l}", x))
         return x
 
-    def decode(self, trg_in_ids, enc_out, masks=None, src_lengths=None):
-        """Logits for each target position.
+    def decoder_state(self, enc_out, masks=None, src_lengths=None, cached=False):
+        """The source side of every decoder layer, built once from the encoder output.
 
-        For a padded batch, `src_lengths` holds each sentence's true source
-        length (forward passes it); for one sentence it stays None.
+        The SACrA masks are checked here, once per label. A `cached` state
+        also keeps the self-attention keys and values of the target positions
+        decoded so far, for step-by-step decoding under `autodiff.no_grad`.
         """
         p = self.params
-        ids = np.asarray(trg_in_ids, dtype=np.intp)
-        self_bias = _key_bias(_lengths(ids), ids.shape[-1], causal=True)
-        cross_bias = _key_bias(src_lengths, enc_out.shape[-2])
         xh = _heads(enc_out)
-        y = self._embed(p["trg_emb"], ids)
         agg = self.cross_masked != ""
         stacks = self._mask_stacks(masks, [row[a] for row, a in zip(self.cross_masked, agg)],
                                    enc_out.shape[:-1] + enc_out.shape[-2:-1])
+        cross = []
         for l, stack in enumerate(stacks):
+            pre = f"dec.{l}.cross"
+            plain = None if agg[l].all() else (ad.matmul(xh, p[f"{pre}.wk"]),
+                                               ad.matmul(xh, p[f"{pre}.wv"]))
+            aggregated = None if stack is None else (aggregated_keys(xh, stack, src_lengths),
+                                                     ad.matmul(xh, p[f"{pre}.agg.wv"]))
+            cross.append((plain, aggregated))
+        return DecoderState(cross, _key_bias(src_lengths, enc_out.shape[-2]), cached)
+
+    def decode(self, trg_in_ids, enc_out=None, masks=None, src_lengths=None, state=None):
+        """Logits for each target position.
+
+        Without `state`, one pass over whole target prefixes from `enc_out`;
+        for a padded batch, `src_lengths` holds each sentence's true source
+        length (forward passes it), and for one sentence it stays None.
+        With a cached `state` (see `decoder_state`), one step: `trg_in_ids`
+        holds the [n, 1] last tokens of the n live prefixes, at position
+        `state.steps`, and their self-attention keys and values join the
+        state's cache.
+        """
+        p = self.params
+        ids = np.asarray(trg_in_ids, dtype=np.intp)
+        if state is None:
+            state = self.decoder_state(enc_out, masks, src_lengths)
+            self_bias = _key_bias(_lengths(ids), ids.shape[-1], causal=True)
+        else:
+            self_bias = None  # a step's one query sees every cached key
+        y = self._embed(p["trg_emb"], ids, state.steps)
+        for l, source in enumerate(state.cross):
             pre = f"dec.{l}.self"
             yh = _heads(y)
-            q, k, v = self._qkv(pre, yh, yh)
+            q, k, v = self._qkv(pre, yh)
+            k, v = state.extend(l, k, v)
             y = self._sublayer_norm(f"dec.{l}.ln1", y,
                                     self._heads_out(pre, attention(q, k, v, self_bias)))
 
             yh, cross = _heads(y), None
-            if not agg[l].all():
-                pre = f"dec.{l}.cross"
-                q, k, v = self._qkv(pre, yh, xh)
-                cross = self._heads_out(pre, attention(q, k, v, cross_bias))
-            if stack is not None:
-                pre = f"dec.{l}.cross.agg"
-                q, v = ad.matmul(yh, p[f"{pre}.wq"]), ad.matmul(xh, p[f"{pre}.wv"])
-                k = aggregated_keys(xh, stack, src_lengths)
-                o = self._heads_out(pre, attention(q, k, v, cross_bias))
-                cross = o if cross is None else ad.add(cross, o)
+            for pre, kv in zip((f"dec.{l}.cross", f"dec.{l}.cross.agg"), source):
+                if kv is not None:
+                    q = ad.matmul(yh, p[f"{pre}.wq"])
+                    o = self._heads_out(pre, attention(q, *kv, state.bias))
+                    cross = o if cross is None else ad.add(cross, o)
             y = self._sublayer_norm(f"dec.{l}.ln2", y, cross)
             y = self._sublayer_norm(f"dec.{l}.ln3", y, self._ffn(f"dec.{l}", y))
+        state.steps += ids.shape[-1]
         return ad.add(ad.matmul(y, p["out.w"]), p["out.b"])
 
     def forward(self, src_ids, trg_in_ids, masks=None):
@@ -488,7 +549,7 @@ def pad_batch(model, pairs, pair_masks):
     padded with PAD (trg_in starts with BOS), gold [B, T] target ids ending
     in EOS and padded with -1 (rows the loss skips), and for each label a
     configured head uses, the masks zero-padded to [B, S, S]. The masks are
-    copied as given: train checks every pair's masks before its first step.
+    copied as given: train and token_accuracy first run check_pairs.
     """
     n = len(pairs)
     s_len = max(len(src) for src, _ in pairs)
@@ -507,9 +568,28 @@ def pad_batch(model, pairs, pair_masks):
     return src_b, trg_in, gold, masks
 
 
+def check_pairs(pairs, head_specs, provider):
+    """Refuse bad pairs before the first forward pass; each error names the pair.
+
+    A pair holding the reserved PAD id raises ConfigError, and every pair's
+    masks go through check_mask for each label in `head_specs`.
+    """
+    labels = sorted(spec.label for spec in head_specs)
+    for i, (src, trg) in enumerate(pairs):
+        if PAD in src or PAD in trg:
+            raise ConfigError(f"pair {i} holds the reserved padding id {PAD}")
+        pair_masks = provider(i)
+        try:
+            for label in labels:
+                check_mask(pair_masks.get(label), label, (len(src), len(src)))
+        except (ConfigError, DimensionError) as exc:
+            raise type(exc)(f"pair {i}: {exc}") from None
+
+
 def token_accuracy(model, pairs, mask_provider=None):
-    """Teacher-forced argmax accuracy over all target tokens (masks as train checks them)."""
+    """Teacher-forced argmax accuracy over all target tokens, after check_pairs."""
     provider = mask_provider or (lambda i: {})
+    check_pairs(pairs, model.head_specs, provider)
     correct = total = 0
     with ad.no_grad():
         for start in range(0, len(pairs), ACCURACY_CHUNK):
@@ -528,22 +608,11 @@ def train(pairs, model_cfg, train_cfg, head_specs=(), mask_provider=None):
     """Train on (src_ids, trg_ids) pairs; deterministic given the seed.
 
     Each step runs one forward and one backward pass over the whole batch,
-    padded with pad_batch. Before the first step, every pair's masks go
-    through check_mask (the error names the pair), and a pair holding the
-    reserved PAD id raises ConfigError. Raises NumericError (with the step
-    index) if the loss goes non-finite.
+    padded with pad_batch, after check_pairs has refused bad pairs. Raises
+    NumericError (with the step index) if the loss goes non-finite.
     """
     provider = mask_provider or (lambda i: {})
-    labels = sorted(spec.label for spec in head_specs)
-    for i, (src, trg) in enumerate(pairs):
-        if PAD in src or PAD in trg:
-            raise ConfigError(f"pair {i} holds the reserved padding id {PAD}")
-        pair_masks = provider(i)
-        try:
-            for label in labels:
-                check_mask(pair_masks.get(label), label, (len(src), len(src)))
-        except (ConfigError, DimensionError) as exc:
-            raise type(exc)(f"pair {i}: {exc}") from None
+    check_pairs(pairs, head_specs, provider)
 
     model = Model(model_cfg, head_specs, seed=train_cfg.seed)
     batch_rng = np.random.default_rng(train_cfg.seed + 1)
@@ -606,36 +675,35 @@ def length_penalty(n_tokens, alpha):
     return ((5.0 + n_tokens) / 6.0) ** alpha
 
 
-def beam_search(score_fn, bos, eos, cfg):
-    """Beam search over a prefix scorer.
+def _search(step, bos, eos, cfg):
+    """Beam search over a scorer of all live prefixes at once.
 
-    `score_fn(prefix)` maps a token tuple (starting with `bos`) to a log
-    probability vector for the next token. Candidates are ranked by
-    cumulative log probability with ties broken toward smaller token ids;
-    a candidate emitting `eos` is finalized with score
-    logprob / ((5+len)/6)^alpha, provided it ranks above the point where
-    the live beam fills. The search runs until the beam empties or
-    `max_len` steps pass; if nothing finished, the best unfinished
-    hypothesis is returned with finished=False.
+    `step(prefixes, parents)` maps the live prefixes (token tuples starting
+    with `bos`) to an [n, V] array of next-token log probabilities, where
+    prefixes[i] extends row parents[i] of the previous call's prefixes (the
+    first call gets [(bos,)] and [0]). Candidates are ranked by cumulative
+    log probability with ties broken toward smaller token ids; a candidate
+    emitting `eos` is finalized with score logprob / ((5+len)/6)^alpha,
+    provided it ranks above the point where the live beam fills. The search
+    runs until the beam empties or `max_len` steps pass; if nothing
+    finished, the best unfinished hypothesis is returned with finished=False.
     """
     beam = cfg.beam
     best = lambda c: (-c[0], c[1])  # higher score first, then smaller token ids
-    live = [(0.0, (bos,))]
+    live = [(0.0, (bos,), 0)]
     done = []
     for _ in range(cfg.max_len):
-        candidates = []
-        for lp, seq in live:
-            logp = score_fn(seq)
-            top = np.argsort(-logp, kind="stable")[:beam]
-            for tok in top:
-                candidates.append((lp + float(logp[tok]), seq + (int(tok),)))
+        logp = step([seq for _, seq, _ in live], [row for _, _, row in live])
+        top = np.argsort(-logp, axis=-1, kind="stable")[:, :beam]
+        candidates = [(lp + float(logp[row, tok]), seq + (int(tok),), row)
+                      for row, (lp, seq, _) in enumerate(live) for tok in top[row]]
         candidates.sort(key=best)
         live = []
-        for lp, seq in candidates:
+        for lp, seq, row in candidates:
             if seq[-1] == eos:
                 done.append((lp / length_penalty(len(seq) - 1, cfg.alpha), seq))
             else:
-                live.append((lp, seq))
+                live.append((lp, seq, row))
             if len(live) == beam:
                 break
         if not live:
@@ -645,9 +713,19 @@ def beam_search(score_fn, bos, eos, cfg):
         return BeamResult(list(seq[1:]), score, True)
     if not live:
         return BeamResult([], -math.inf, False)
-    score, seq = min(((lp / length_penalty(len(seq) - 1, cfg.alpha), seq) for lp, seq in live),
+    score, seq = min(((lp / length_penalty(len(seq) - 1, cfg.alpha), seq) for lp, seq, _ in live),
                      key=best)
     return BeamResult(list(seq[1:]), score, False)
+
+
+def beam_search(score_fn, bos, eos, cfg):
+    """Beam search over a prefix scorer (see _search for the rules).
+
+    `score_fn(prefix)` maps a token tuple (starting with `bos`) to a log
+    probability vector for the next token.
+    """
+    return _search(lambda prefixes, _: np.array([score_fn(seq) for seq in prefixes]),
+                   bos, eos, cfg)
 
 
 def greedy_decode(score_fn, bos, eos, max_len):
@@ -666,28 +744,37 @@ def greedy_decode(score_fn, bos, eos, max_len):
     return BeamResult(list(seq[1:]), total, False)
 
 
-def log_softmax(row):
-    shifted = row - row.max()
-    return shifted - math.log(np.exp(shifted).sum())
+def log_softmax(x):
+    """Log softmax along the last axis."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def translate(model, src_ids, masks=None, cfg=None, greedy=False):
     """Decode one source sentence into target ids (without BOS/EOS).
 
+    The encoder output, the cross-attention keys and values and the checked
+    masks are built once, in a cached decoder state. Each search step then
+    runs the decoder once over the last tokens of all live prefixes, whose
+    self-attention keys and values join the cache; after the beam is
+    selected, the cache rows follow their hypotheses. Every step's log
+    probabilities match a full-prefix `Model.decode` to within 1e-12.
     The decode length is capped at the model's max_len - 1, so the longest
     prefix (BOS plus the tokens so far) still fits the position table.
     """
     cfg = cfg or DecodeConfig()
     cfg = replace(cfg, max_len=min(cfg.max_len, model.cfg.max_len - 1))
     with ad.no_grad():
-        enc_out = model.encode(src_ids, masks)
+        state = model.decoder_state(model.encode(src_ids, masks), masks, cached=True)
 
-        def score_fn(prefix):
-            return log_softmax(model.decode(list(prefix), enc_out, masks).data[-1])
+        def step(prefixes, parents):
+            state.reorder(parents)
+            last = np.array([seq[-1:] for seq in prefixes])
+            return log_softmax(model.decode(last, state=state).data[:, -1])
 
         if greedy:
-            result = greedy_decode(score_fn, BOS, EOS, cfg.max_len)
+            result = greedy_decode(lambda seq: step([seq], [0])[0], BOS, EOS, cfg.max_len)
         else:
-            result = beam_search(score_fn, BOS, EOS, cfg)
+            result = _search(step, BOS, EOS, cfg)
     tokens = [t for t in result.tokens if t != EOS]
     return replace(result, tokens=tokens)

@@ -50,18 +50,6 @@ def filter_corpus(pairs, max_len=100, max_ratio=1.5, predicates=(), transforms=(
     return kept
 
 
-def read_parallel(src_path, trg_path):
-    with open(src_path, encoding="utf-8") as fh:
-        src_lines = fh.read().splitlines()
-    with open(trg_path, encoding="utf-8") as fh:
-        trg_lines = fh.read().splitlines()
-    if len(src_lines) != len(trg_lines):
-        raise ParseError(
-            f"parallel files differ in length: {len(src_lines)} vs {len(trg_lines)}"
-        )
-    return [ParallelPair(s.split(), t.split()) for s, t in zip(src_lines, trg_lines)]
-
-
 # -- byte-pair encoding ----------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -721,6 +722,16 @@ class TestBatchedForward:
         got = M.token_accuracy(self.model, pairs, lambda i: masks[i])
         assert got == correct / total
 
+    def test_token_accuracy_refuses_a_wrong_shape_mask_naming_the_pair(self):
+        masks = [dict(m) for m in self.masks]
+        masks[2]["sasa"] = np.ones((1, 1))  # would broadcast into the padded batch
+        with pytest.raises(DimensionError, match=r"pair 2: mask 'sasa' has shape \(1, 1\)"):
+            M.token_accuracy(self.model, self.pairs, lambda i: masks[i])
+
+    def test_token_accuracy_refuses_a_missing_label(self):
+        with pytest.raises(ConfigError, match="pair 0: missing mask 'sacra'"):
+            M.token_accuracy(self.model, self.pairs, lambda i: {"sasa": self.masks[i]["sasa"]})
+
     def test_dropped_graph_is_freed_without_the_collector(self):
         sents, vocab, covers = copy_task(pairs=1, min_len=8, max_len=8, seed=5)
         src = vocab.encode(sents[0])
@@ -966,3 +977,143 @@ class TestTranslate:
         fresh.load_state(autodiff.load_checkpoint(tmp_path / "m.ckpt"))
         after = fresh.forward(src, trg).data
         np.testing.assert_array_equal(before, after)
+
+
+def cached_steps(model, src, masks, choices, rng):
+    """Drive a cached decoder state from BOS through `choices`, each step's parent rows.
+
+    Each step extends the chosen parents' prefixes by random tokens and runs
+    one cached step; yields its [n, V] logits with the n prefixes it scored.
+    """
+    with ad.no_grad():
+        enc_out = model.encode(src, masks)
+        state = model.decoder_state(enc_out, masks, cached=True)
+        prefixes = [(BOS,)]
+        yield model.decode(np.array([[BOS]]), state=state).data[:, -1], prefixes, enc_out
+        for parents in choices:
+            tokens = rng.integers(4, model.cfg.trg_vocab, size=(len(parents), 1))
+            prefixes = [prefixes[p] + (int(t),) for p, (t,) in zip(parents, tokens)]
+            state.reorder(parents)
+            yield model.decode(tokens, state=state).data[:, -1], prefixes, enc_out
+
+
+def random_out_model(cfg, specs, seed):
+    model = Model(cfg, specs, seed=seed)
+    out_w = model.params["out.w"].data
+    out_w[:] = np.random.default_rng(seed + 1).normal(size=out_w.shape)
+    return model
+
+
+class TestIncrementalDecoding:
+    """The cached, beam-batched step against full-prefix Model.decode."""
+
+    CONFIGS = {
+        "no-masks": [],
+        "sasa-only": [M.sasa_default()],
+        "sacra-one-head": [HeadSpec("cross", {2}, {1}, MaskSpec("binary"), "sacra")],
+        "sacra-every-head": [HeadSpec("cross", {2}, {1, 2}, MaskSpec("binary"), "sacra")],
+    }
+
+    def setup_method(self):
+        self.cfg = tiny_config(enc_layers=4, dec_layers=4, src_vocab=12, trg_vocab=12,
+                               max_len=24)
+
+    def source(self, rng, n):
+        src = [int(x) for x in rng.integers(4, 12, size=n)]
+        m = (rng.random((n, n)) > 0.4) * rng.random((n, n))
+        np.fill_diagonal(m, 1.0)
+        return src, {"sasa": m, "sacra": m.T.copy()}
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_step_logits_match_full_prefix_decode(self, name):
+        model = random_out_model(self.cfg, self.CONFIGS[name], seed=81)
+        rng = np.random.default_rng(82)
+        src, masks = self.source(rng, 6)
+        # rows grow, shrink and share parents, as a beam does
+        choices = [[0, 0, 0], [2, 0, 0], [1, 1, 2, 0], [3, 3], [0, 1, 1], [2, 0, 1]]
+        for logits, prefixes, enc_out in cached_steps(model, src, masks, choices, rng):
+            assert logits.shape == (len(prefixes), self.cfg.trg_vocab)
+            for row, prefix in zip(logits, prefixes):
+                with ad.no_grad():
+                    full = model.decode(list(prefix), enc_out, masks).data[-1]
+                np.testing.assert_allclose(row, full, rtol=0, atol=1e-12)
+
+    def test_rows_sharing_a_parent_get_copies_of_its_cache(self):
+        model = random_out_model(self.cfg, [M.sacra_default()], seed=83)
+        src, masks = self.source(np.random.default_rng(84), 5)
+        with ad.no_grad():
+            state = model.decoder_state(model.encode(src, masks), masks, cached=True)
+            model.decode(np.array([[BOS]]), state=state)
+            state.reorder([0, 0])
+            model.decode(np.array([[4], [5]]), state=state)
+            before = [tuple(a.copy() for a in kv) for kv in state.self_kv]
+            state.reorder([1, 1])
+            for (k, v), (k0, v0) in zip(state.self_kv, before):
+                assert k.shape == (2, 2, 2, self.cfg.d_k)
+                np.testing.assert_array_equal(k, k0[[1, 1]])
+                np.testing.assert_array_equal(v, v0[[1, 1]])
+            k[0] += 1.0  # the rows are copies, not views of one parent
+            assert not np.array_equal(k[0], k[1])
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_translate_matches_search_over_full_prefix_decode(self, name):
+        model = random_out_model(self.cfg, self.CONFIGS[name], seed=85)
+        rng = np.random.default_rng(86)
+        for n, cap in [(3, 5), (7, 12), (10, 23)]:
+            src, masks = self.source(rng, n)
+            with ad.no_grad():
+                enc_out = model.encode(src, masks)
+
+            def score_fn(prefix):  # the full-prefix reference scorer
+                with ad.no_grad():
+                    return M.log_softmax(model.decode(list(prefix), enc_out, masks).data[-1])
+
+            cfg = DecodeConfig(beam=4, alpha=0.6, max_len=cap)
+            for greedy, ref in [(False, beam_search(score_fn, BOS, EOS, cfg)),
+                                (True, greedy_decode(score_fn, BOS, EOS, cap))]:
+                got = translate(model, src, masks, cfg, greedy=greedy)
+                assert got.tokens == [t for t in ref.tokens if t != EOS]
+                assert got.finished == ref.finished
+                # a step computes one row where the full pass computes a
+                # causally masked square, so scores agree to rounding only
+                assert got.score == pytest.approx(ref.score, rel=0, abs=1e-12)
+
+    def test_one_decoder_call_per_step(self, monkeypatch):
+        model = random_out_model(self.cfg, [M.sacra_default()], seed=87)
+        src, masks = self.source(np.random.default_rng(88), 6)
+        calls = []
+        decode = Model.decode
+
+        def counting_decode(self, trg_in_ids, *args, **kwargs):
+            calls.append(np.shape(trg_in_ids))
+            return decode(self, trg_in_ids, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "decode", counting_decode)
+        cap = 9
+        translate(model, src, masks, DecodeConfig(beam=4, max_len=cap))
+        assert 1 <= len(calls) <= cap
+        assert calls[0] == (1, 1) and all(n <= 4 and t == 1 for n, t in calls)
+
+    def test_masks_are_checked_once_per_translate(self, monkeypatch):
+        specs = [
+            HeadSpec("encoder", {1, 2}, {1}, MaskSpec("binary"), "sasa"),
+            HeadSpec("encoder", {2}, {2}, MaskSpec("pascal"), "pascal"),
+            HeadSpec("cross", {1, 2}, {2}, MaskSpec("binary"), "sacra"),
+        ]
+        model = random_out_model(tiny_config(), specs, seed=89)
+        (src, trg), masks = [x[0] for x in mixed_batch(np.random.default_rng(7), n=3)]
+        calls = Counter()
+        check = M.check_mask
+
+        def counting_check(mask, label, shape):
+            calls[label] += 1
+            return check(mask, label, shape)
+
+        monkeypatch.setattr(M, "check_mask", counting_check)
+        model.forward(src, [BOS] + trg, masks)
+        per_forward = dict(calls)
+        assert per_forward == {"sasa": 1, "pascal": 1, "sacra": 1}
+        for cap in (4, 16):
+            calls.clear()
+            translate(model, src, masks, DecodeConfig(beam=4, max_len=cap))
+            assert dict(calls) == per_forward

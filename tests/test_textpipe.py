@@ -69,22 +69,6 @@ class TestFilterCorpus:
             assert ls <= 100 and lt <= 100
             assert max(ls, lt) / min(ls, lt) <= 1.5
 
-    def test_read_parallel_pairs_lines(self, tmp_path):
-        from scenemt.textpipe import read_parallel
-
-        (tmp_path / "a").write_text("x y\nz\n")
-        (tmp_path / "b").write_text("u\nv w\n")
-        pairs = read_parallel(tmp_path / "a", tmp_path / "b")
-        assert [(p.src, p.trg) for p in pairs] == [(["x", "y"], ["u"]), (["z"], ["v", "w"])]
-
-    def test_read_parallel_rejects_length_mismatch(self, tmp_path):
-        from scenemt.textpipe import read_parallel
-
-        (tmp_path / "a").write_text("x\n")
-        (tmp_path / "b").write_text("u\nv\n")
-        with pytest.raises(ParseError):
-            read_parallel(tmp_path / "a", tmp_path / "b")
-
     def test_transforms_run_before_filters(self):
         def lowercase(p):
             return ParallelPair([t.lower() for t in p.src], p.trg, p.meta)
