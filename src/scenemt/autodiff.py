@@ -6,6 +6,13 @@ replayed in reverse build order. Each node's backward closure receives the
 node's gradient from the tape and holds no reference to the node itself, so
 a dropped graph is freed by reference counting alone. Everything runs in
 double precision so finite-difference checks can be tight.
+
+A training step's time goes to per-node Python overhead, not to FLOPs, so
+its hot path is a few large nodes: `attention` is one node with a
+hand-written backward, `project_heads` and `merge_heads` move all heads of a
+sublayer through one GEMM, and `matmul` folds a batch into rows under a
+2-D weight. Each agrees with the composed small ops it replaces to rounding
+(the attention forward bitwise); the tests keep those as the reference.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ class Tensor:
         return float(self.data)
 
     def accumulate(self, g):
-        # copied, not kept: transpose, reshape and sum_axis pass views
+        # copied, not kept: several backwards pass views of their gradient
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64)
         else:
@@ -167,14 +174,26 @@ def _swap(x):
 def matmul(a, b):
     """Matrix product over the last two axes; leading axes broadcast.
 
-    A weight shared across a batch ([d, k] against [B, L, d]) gets its
-    gradient summed over the batch.
+    A 2-D weight under a batch ([B, L, d] x [d, k]) has the batch folded into
+    rows, so forward and backward are one GEMM each.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise DimensionError(
             f"matmul shapes do not agree: {a.data.shape} x {b.data.shape}"
         )
+    if b.data.ndim == 2:
+        rows = a.data.reshape(-1, a.data.shape[-1])
+        out_data = (rows @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:])
+
+        def backward(g):
+            g = g.reshape(-1, b.data.shape[1])
+            if a.requires_grad:
+                a.accumulate((g @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                b.accumulate(rows.T @ g)
+
+        return _make(out_data, (a, b), backward)
     try:
         out_data = a.data @ b.data
     except ValueError:
@@ -189,6 +208,94 @@ def matmul(a, b):
             b.accumulate(_unbroadcast(_swap(a.data) @ g, b.data.shape))
 
     return _make(out_data, (a, b), backward)
+
+
+def project_heads(x, w):
+    """Each head's x @ w[h] for x [..., L, d] and w [H, d, k], as [..., H, L, k].
+
+    One [rows, d] x [d, H*k] GEMM, the heads split off by a reshape; the
+    backward is one GEMM per input too.
+    """
+    x, w = _as_tensor(x), _as_tensor(w)
+    h, d, k = w.data.shape
+    if x.data.ndim < 2 or x.data.shape[-1] != d:
+        raise DimensionError(f"head projection shapes do not agree: {x.data.shape} x "
+                             f"{w.data.shape}")
+    rows = x.data.reshape(-1, d)
+    wide = w.data.swapaxes(0, 1).reshape(d, h * k)
+    out_data = (rows @ wide).reshape(x.data.shape[:-1] + (h, k)).swapaxes(-2, -3)
+
+    def backward(g):
+        g = g.swapaxes(-2, -3).reshape(-1, h * k)
+        if x.requires_grad:
+            x.accumulate((g @ wide.T).reshape(x.data.shape))
+        if w.requires_grad:
+            w.accumulate((rows.T @ g).reshape(d, h, k).swapaxes(0, 1))
+
+    return _make(out_data, (x, w), backward)
+
+
+def merge_heads(o, w):
+    """The sum over heads of o[..., h, L, k] @ w[h] for w [H, k, d], as [..., L, d].
+
+    One [rows, H*k] x [H*k, d] GEMM; the backward is one GEMM per input too.
+    """
+    o, w = _as_tensor(o), _as_tensor(w)
+    h, k, d = w.data.shape
+    if o.data.ndim < 3 or o.data.shape[-3] != h or o.data.shape[-1] != k:
+        raise DimensionError(f"head merge shapes do not agree: {o.data.shape} x {w.data.shape}")
+    split = o.data.shape[:-3] + o.data.shape[-2:-1] + (h, k)  # [..., L, H, k]
+    rows = o.data.swapaxes(-2, -3).reshape(-1, h * k)
+    tall = w.data.reshape(h * k, d)
+    out_data = (rows @ tall).reshape(split[:-2] + (d,))
+
+    def backward(g):
+        g = g.reshape(-1, d)
+        if o.requires_grad:
+            o.accumulate((g @ tall.T).reshape(split).swapaxes(-2, -3))
+        if w.requires_grad:
+            w.accumulate((rows.T @ g).reshape(h, k, d))
+
+    return _make(out_data, (o, w), backward)
+
+
+def attention(q, k, v, bias=None, mask=None):
+    """softmax(q k^T / sqrt(d_v) + bias) v, the weights first multiplied by `mask`.
+
+    The mask multiplies the post-softmax weights with no renormalization, so
+    a row's weights sum to at most 1 (exactly 1 only under an all-ones mask
+    row). One node: its forward is bitwise that of the composed matmul,
+    transpose, softmax_rows and mul, and its backward is the one of Dao et al.
+    2022 without the tiling. Shapes that do not agree raise DimensionError.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    scale = 1.0 / math.sqrt(v.data.shape[-1])
+    try:
+        logits = (q.data @ _swap(k.data)) * scale
+        if bias is not None:
+            logits = logits + bias
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        s = e / e.sum(axis=-1, keepdims=True)
+        w = s if mask is None else s * mask
+        out_data = w @ v.data
+    except ValueError:
+        raise DimensionError(
+            f"attention shapes do not agree: {q.data.shape}, {k.data.shape}, {v.data.shape}"
+        ) from None
+
+    def backward(g):
+        if v.requires_grad:
+            v.accumulate(_unbroadcast(_swap(w) @ g, v.data.shape))
+        dw = g @ _swap(v.data)
+        if mask is not None:
+            dw *= mask
+        dlogits = s * (dw - (dw * s).sum(axis=-1, keepdims=True)) * scale
+        if q.requires_grad:
+            q.accumulate(_unbroadcast(dlogits @ k.data, q.data.shape))
+        if k.requires_grad:
+            k.accumulate(_unbroadcast(_swap(dlogits) @ q.data, k.data.shape))
+
+    return _make(out_data, (q, k, v), backward)
 
 
 def transpose(a):
@@ -272,10 +379,10 @@ def embedding(table, ids):
 def layer_norm(x, gain, bias, eps=1e-6):
     """Per-row normalization over the last axis with learned gain/bias."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     out_data = gain.data * xhat + bias.data
 
     def backward(g):

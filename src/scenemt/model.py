@@ -1,9 +1,12 @@
 """Encoder-decoder transformer with pluggable scene-aware attention heads.
 
-Every head goes through one routine, `attention`: scaled dot-product
-attention whose post-softmax weights a designated encoder self-attention
-head multiplies elementwise by a structural mask (scene, parent-Gaussian, or
-tree-distance families all plug in the same way, after the softmax).
+Every head goes through one routine, `attention` (one autodiff node, from
+`autodiff`): scaled dot-product attention whose post-softmax weights a
+designated encoder self-attention head multiplies elementwise by a structural
+mask (scene, parent-Gaussian, or tree-distance families all plug in the same
+way, after the softmax). Heads are an array axis: a sublayer's heads are
+projected in and merged out by one GEMM each (`autodiff.project_heads`,
+`autodiff.merge_heads`), with the weights kept as [H, d, d_k] and [H, d_k, d].
 Designated decoder cross-attention heads instead take `aggregated_keys`, the
 encoder output summed over the mask, so source tokens with identical mask
 rows become indistinguishable to every query. A mask is checked once where
@@ -12,13 +15,13 @@ state (one per `decode` pass, one per `translate`), and per pair before
 `train` or `token_accuracy` runs its first forward pass.
 
 Training is a single deterministic stream: Adam on a Noam-shaped learning
-rate, label-smoothed per-token cross entropy, seeded parameter init and
-batch order, with each step's pairs padded into one batch and run as one
-graph. Decoding is beam search with GNMT-style length normalization,
-incremental as in the autoregressive decoder of Vaswani et al. 2017: the
-source side of every decoder layer is built once per sentence, and each
-step runs all live hypotheses through the decoder as one batch, reusing
-their cached self-attention keys and values.
+rate, run in place over one flat parameter buffer, label-smoothed per-token
+cross entropy, seeded parameter init and batch order, with each step's pairs
+padded into one batch and run as one graph. Decoding is beam search with
+GNMT-style length normalization, incremental as in the autoregressive
+decoder of Vaswani et al. 2017: the source side of every decoder layer is
+built once per sentence, and each step runs all live hypotheses through the
+decoder as one batch, reusing their cached self-attention keys and values.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, attention
 from .errors import ConfigError, DimensionError, NumericError
 from .masks import MaskSpec
 from .textpipe import BOS, EOS, PAD
@@ -173,18 +176,6 @@ def _per_sentence(values, ndim):
     return np.asarray(values).reshape((-1,) + (1,) * (ndim - 1))
 
 
-def attention(q, k, v, bias=None, mask=None):
-    """softmax(q k^T / sqrt(d_v) + bias) v, the weights first multiplied by `mask`.
-
-    The mask multiplies the post-softmax weights with no renormalization, so
-    a row's weights sum to at most 1 (exactly 1 only under an all-ones mask
-    row). This is the only place a mask meets attention weights.
-    """
-    logits = ad.matmul(q, ad.transpose(k)) * (1.0 / math.sqrt(v.shape[-1]))
-    s = ad.softmax_rows(logits if bias is None else ad.add(logits, bias))
-    return ad.matmul(s if mask is None else ad.mul(s, mask), v)
-
-
 def aggregated_keys(x_enc, mask, lengths=None):
     """Scene-aggregated keys (mask @ x_enc) / L_src.
 
@@ -231,11 +222,6 @@ def sinusoidal_positions(max_len, d_model):
 
 
 # -- the transformer -----------------------------------------------------------------
-
-
-def _heads(x):
-    """[..., L, d] -> [..., 1, L, d]: a head axis for stacked weights to broadcast over."""
-    return ad.reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
 
 
 class DecoderState:
@@ -401,11 +387,7 @@ class Model:
 
     def _qkv(self, prefix, x):
         p = self.params
-        return tuple(ad.matmul(x, p[f"{prefix}.{w}"]) for w in ("wq", "wk", "wv"))
-
-    def _heads_out(self, prefix, o):
-        """Each head's [..., H, L, d_k] output through its wo, summed over heads."""
-        return ad.sum_axis(ad.matmul(o, self.params[f"{prefix}.wo"]), -3)
+        return tuple(ad.project_heads(x, p[f"{prefix}.{w}"]) for w in ("wq", "wk", "wv"))
 
     @staticmethod
     def _mask_stacks(masks, rows, shape):
@@ -421,16 +403,15 @@ class Model:
                 else None for row in rows]
 
     def encode(self, src_ids, masks=None):
+        p = self.params
         ids = np.asarray(src_ids, dtype=np.intp)
         bias = _key_bias(_lengths(ids), ids.shape[-1])
-        x = self._embed(self.params["src_emb"], ids)
+        x = self._embed(p["src_emb"], ids)
         stacks = self._mask_stacks(masks, self.enc_masked, ids.shape + ids.shape[-1:])
         for l, stack in enumerate(stacks):
             pre = f"enc.{l}.attn"
-            xh = _heads(x)
-            q, k, v = self._qkv(pre, xh)
-            o = attention(q, k, v, bias, stack)
-            x = self._sublayer_norm(f"enc.{l}.ln1", x, self._heads_out(pre, o))
+            o = attention(*self._qkv(pre, x), bias, stack)
+            x = self._sublayer_norm(f"enc.{l}.ln1", x, ad.merge_heads(o, p[f"{pre}.wo"]))
             x = self._sublayer_norm(f"enc.{l}.ln2", x, self._ffn(f"enc.{l}", x))
         return x
 
@@ -442,17 +423,18 @@ class Model:
         decoded so far, for step-by-step decoding under `autodiff.no_grad`.
         """
         p = self.params
-        xh = _heads(enc_out)
+        # aggregated keys take a head axis for the SACrA mask stack to broadcast over
+        xh = ad.reshape(enc_out, enc_out.shape[:-2] + (1,) + enc_out.shape[-2:])
         agg = self.cross_masked != ""
         stacks = self._mask_stacks(masks, [row[a] for row, a in zip(self.cross_masked, agg)],
                                    enc_out.shape[:-1] + enc_out.shape[-2:-1])
         cross = []
         for l, stack in enumerate(stacks):
             pre = f"dec.{l}.cross"
-            plain = None if agg[l].all() else (ad.matmul(xh, p[f"{pre}.wk"]),
-                                               ad.matmul(xh, p[f"{pre}.wv"]))
+            plain = None if agg[l].all() else (ad.project_heads(enc_out, p[f"{pre}.wk"]),
+                                               ad.project_heads(enc_out, p[f"{pre}.wv"]))
             aggregated = None if stack is None else (aggregated_keys(xh, stack, src_lengths),
-                                                     ad.matmul(xh, p[f"{pre}.agg.wv"]))
+                                                     ad.project_heads(enc_out, p[f"{pre}.agg.wv"]))
             cross.append((plain, aggregated))
         return DecoderState(cross, _key_bias(src_lengths, enc_out.shape[-2]), cached)
 
@@ -477,17 +459,16 @@ class Model:
         y = self._embed(p["trg_emb"], ids, state.steps)
         for l, source in enumerate(state.cross):
             pre = f"dec.{l}.self"
-            yh = _heads(y)
-            q, k, v = self._qkv(pre, yh)
+            q, k, v = self._qkv(pre, y)
             k, v = state.extend(l, k, v)
-            y = self._sublayer_norm(f"dec.{l}.ln1", y,
-                                    self._heads_out(pre, attention(q, k, v, self_bias)))
+            o = attention(q, k, v, self_bias)
+            y = self._sublayer_norm(f"dec.{l}.ln1", y, ad.merge_heads(o, p[f"{pre}.wo"]))
 
-            yh, cross = _heads(y), None
+            cross = None
             for pre, kv in zip((f"dec.{l}.cross", f"dec.{l}.cross.agg"), source):
                 if kv is not None:
-                    q = ad.matmul(yh, p[f"{pre}.wq"])
-                    o = self._heads_out(pre, attention(q, *kv, state.bias))
+                    q = ad.project_heads(y, p[f"{pre}.wq"])
+                    o = ad.merge_heads(attention(q, *kv, state.bias), p[f"{pre}.wo"])
                     cross = o if cross is None else ad.add(cross, o)
             y = self._sublayer_norm(f"dec.{l}.ln2", y, cross)
             y = self._sublayer_norm(f"dec.{l}.ln3", y, self._ffn(f"dec.{l}", y))
@@ -527,6 +508,46 @@ def lr_schedule(step, warmup, d_model):
     if step < 1:
         raise ConfigError("schedule steps are 1-based")
     return d_model ** -0.5 * min(step ** -0.5, step * warmup ** -1.5)
+
+
+class Adam:
+    """Adam in place over one flat buffer; each tensor's data and grad become views into it.
+
+    A step is a dozen whole-model numpy calls in the per-tensor update's order
+    of operations, m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    p -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), so it is bitwise
+    that update. A tensor no backward reached has a zero gradient.
+    """
+
+    def __init__(self, tensors, beta1, beta2, eps):
+        tensors = list(tensors)
+        self.data = np.concatenate([t.data.ravel() for t in tensors])
+        self.grad, self.m, self.v, self._num, self._den = (
+            np.zeros_like(self.data) for _ in range(5))
+        at = 0
+        for t in tensors:
+            n, shape = t.data.size, t.data.shape
+            t.data, t.grad = (flat[at:at + n].reshape(shape) for flat in (self.data, self.grad))
+            at += n
+        self.beta1, self.beta2, self.eps, self.steps = beta1, beta2, eps, 0
+
+    def zero_grad(self):
+        self.grad.fill(0.0)
+
+    def step(self, lr):
+        self.steps += 1
+        b1, b2, num, den = self.beta1, self.beta2, self._num, self._den
+        self.m *= b1
+        self.m += np.multiply(self.grad, 1 - b1, out=num)
+        self.v *= b2
+        np.multiply(self.grad, 1 - b2, out=num)
+        self.v += np.multiply(num, self.grad, out=num)
+        np.sqrt(np.divide(self.v, 1 - b2 ** self.steps, out=den), out=den)
+        den += self.eps
+        np.divide(self.m, 1 - b1 ** self.steps, out=num)
+        num *= lr
+        num /= den
+        self.data -= num
 
 
 @dataclass
@@ -590,6 +611,11 @@ def token_accuracy(model, pairs, mask_provider=None):
     """Teacher-forced argmax accuracy over all target tokens, after check_pairs."""
     provider = mask_provider or (lambda i: {})
     check_pairs(pairs, model.head_specs, provider)
+    return _accuracy(model, pairs, provider)
+
+
+def _accuracy(model, pairs, provider):
+    """token_accuracy on pairs that check_pairs has already passed."""
     correct = total = 0
     with ad.no_grad():
         for start in range(0, len(pairs), ACCURACY_CHUNK):
@@ -616,14 +642,12 @@ def train(pairs, model_cfg, train_cfg, head_specs=(), mask_provider=None):
 
     model = Model(model_cfg, head_specs, seed=train_cfg.seed)
     batch_rng = np.random.default_rng(train_cfg.seed + 1)
-    names = sorted(model.params)
-    m_state = {n: np.zeros_like(model.params[n].data) for n in names}
-    v_state = {n: np.zeros_like(model.params[n].data) for n in names}
+    adam = Adam(model.params.values(), train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps)
 
     result = TrainResult(model, losses=[])
     for step in range(1, train_cfg.steps + 1):
         idx = [int(i) for i in batch_rng.integers(0, len(pairs), size=train_cfg.batch_size)]
-        model.zero_grads()
+        adam.zero_grad()
         src, trg_in, gold, masks = pad_batch(
             model, [pairs[i] for i in idx], [provider(i) for i in idx]
         )
@@ -636,20 +660,11 @@ def train(pairs, model_cfg, train_cfg, head_specs=(), mask_provider=None):
         result.losses.append(loss_value)
         loss.backward()
 
-        lr = lr_schedule(step, train_cfg.warmup, model_cfg.d_model)
-        b1, b2 = train_cfg.beta1, train_cfg.beta2
-        for n in names:
-            p = model.params[n]
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m_state[n] = b1 * m_state[n] + (1 - b1) * g
-            v_state[n] = b2 * v_state[n] + (1 - b2) * g * g
-            m_hat = m_state[n] / (1 - b1 ** step)
-            v_hat = v_state[n] / (1 - b2 ** step)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + train_cfg.adam_eps)
+        adam.step(lr_schedule(step, train_cfg.warmup, model_cfg.d_model))
 
         result.steps_run = step
         if train_cfg.eval_every and step % train_cfg.eval_every == 0:
-            acc = token_accuracy(model, pairs, provider)
+            acc = _accuracy(model, pairs, provider)
             result.accuracy_history.append((step, acc))
             result.accuracy = acc
             if train_cfg.target_accuracy and acc >= train_cfg.target_accuracy:
@@ -657,7 +672,7 @@ def train(pairs, model_cfg, train_cfg, head_specs=(), mask_provider=None):
                 break
 
     if result.accuracy is None:
-        result.accuracy = token_accuracy(model, pairs, provider)
+        result.accuracy = _accuracy(model, pairs, provider)
     return result
 
 

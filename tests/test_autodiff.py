@@ -69,6 +69,93 @@ def test_matmul_batch_axes_must_agree():
         ad.matmul(ad.Tensor(np.ones(4)), ad.Tensor(np.ones((4, 5))))
 
 
+def _fused_against_loop(fused, loop, loop_grads, inputs, rng):
+    """A fused op's output and gradients under a random upstream gradient, against
+    the per-item loop and its hand-derived gradients; then grad_check on each input."""
+    out = fused(*inputs)
+    r = rng.normal(size=out.shape)
+    ad.sum_all(ad.mul(out, r)).backward()
+    arrays = [t.data for t in inputs]
+    np.testing.assert_allclose(out.data, loop(*arrays), rtol=0, atol=1e-12)
+    for t, expected in zip(inputs, loop_grads(r, *arrays)):
+        np.testing.assert_allclose(t.grad, expected, rtol=0, atol=1e-12)
+    for t in inputs:
+        assert ad.grad_check(lambda _: ad.sum_all(ad.mul(fused(*inputs), r)), t) < 1e-6
+    return out.data
+
+
+HEAD_LEADS = pytest.mark.parametrize("lead", [(), (3,), (2, 3)],
+                                     ids=["sentence", "batch", "two-batch-axes"])
+
+
+@HEAD_LEADS
+def test_project_heads_matches_a_per_head_loop(lead):
+    rng = np.random.default_rng(45 + len(lead))
+    x = ad.Tensor(rng.normal(size=lead + (4, 5)), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(3, 5, 2)), requires_grad=True)
+    n = len(w.data)
+
+    def loop(x, w):
+        return np.stack([x @ w[h] for h in range(n)], axis=-3)
+
+    def loop_grads(g, x, w):
+        rows = x.reshape(-1, 4, 5)
+        per_head = [g[..., h, :, :].reshape(-1, 4, 2) for h in range(n)]
+        dx = sum(gh @ w[h].T for h, gh in enumerate(per_head)).reshape(x.shape)
+        dw = np.stack([sum(r.T @ gb for r, gb in zip(rows, gh)) for gh in per_head])
+        return dx, dw
+
+    out = _fused_against_loop(ad.project_heads, loop, loop_grads, [x, w], rng)
+    assert out.shape == lead + (3, 4, 2)
+
+
+@HEAD_LEADS
+def test_merge_heads_matches_a_per_head_loop(lead):
+    rng = np.random.default_rng(48 + len(lead))
+    o = ad.Tensor(rng.normal(size=lead + (3, 4, 2)), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(3, 2, 5)), requires_grad=True)
+    n = len(w.data)
+
+    def loop(o, w):
+        return sum(o[..., h, :, :] @ w[h] for h in range(n))
+
+    def loop_grads(g, o, w):
+        do = np.stack([g @ w[h].T for h in range(n)], axis=-3)
+        rows = g.reshape(-1, 4, 5)
+        dw = np.stack([sum(ob.T @ gb for ob, gb in zip(o[..., h, :, :].reshape(-1, 4, 2), rows))
+                       for h in range(n)])
+        return do, dw
+
+    out = _fused_against_loop(ad.merge_heads, loop, loop_grads, [o, w], rng)
+    assert out.shape == lead + (4, 5)
+
+
+@pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=["batch", "two-batch-axes"])
+def test_matmul_folds_a_2d_weight_like_a_per_item_loop(lead):
+    rng = np.random.default_rng(51 + len(lead))
+    a = ad.Tensor(rng.normal(size=lead + (4, 5)), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+
+    def loop(a, w):
+        return np.stack([x @ w for x in a.reshape(-1, 4, 5)]).reshape(lead + (4, 2))
+
+    def loop_grads(g, a, w):
+        items = list(zip(a.reshape(-1, 4, 5), g.reshape(-1, 4, 2)))
+        da = np.stack([gb @ w.T for _, gb in items]).reshape(a.shape)
+        return da, sum(x.T @ gb for x, gb in items)
+
+    _fused_against_loop(ad.matmul, loop, loop_grads, [a, w], rng)
+
+
+def test_head_primitives_check_widths():
+    with pytest.raises(DimensionError):
+        ad.project_heads(ad.Tensor(np.ones((4, 5))), ad.Tensor(np.ones((3, 4, 2))))
+    with pytest.raises(DimensionError):
+        ad.merge_heads(ad.Tensor(np.ones((2, 4, 2))), ad.Tensor(np.ones((3, 2, 5))))
+    with pytest.raises(DimensionError):
+        ad.merge_heads(ad.Tensor(np.ones((3, 4, 3))), ad.Tensor(np.ones((3, 2, 5))))
+
+
 def test_transpose_swaps_last_two_axes():
     rng = np.random.default_rng(45)
     x = ad.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
@@ -215,6 +302,19 @@ def test_layer_norm_rows_are_standardized():
     out = ad.layer_norm(x, ad.Tensor(np.ones(16)), ad.Tensor(np.zeros(16))).data
     np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-12)
     np.testing.assert_allclose(out.std(axis=1), 1.0, atol=1e-3)
+
+
+def test_layer_norm_is_bitwise_the_np_var_formula():
+    # the centred input is computed once and squared for the variance; the
+    # earlier (x - mean) * inv with np.var is kept here as the reference
+    rng = np.random.default_rng(6)
+    for shape in [(16, 9, 32), (4, 1, 32), (64, 9, 32), (7, 5), (3, 2, 4, 8), (1, 1)]:
+        x = rng.normal(loc=rng.normal(), scale=rng.uniform(0.1, 5.0), size=shape)
+        gain, bias = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-6)
+        expected = gain * ((x - x.mean(axis=-1, keepdims=True)) * inv) + bias
+        out = ad.layer_norm(ad.Tensor(x), ad.Tensor(gain), ad.Tensor(bias)).data
+        np.testing.assert_array_equal(out, expected)
 
 
 def test_cross_entropy_uniform_logits_is_log_vocab():

@@ -1,5 +1,7 @@
 """End-to-end command-line behaviour, exit codes, and manifest reruns."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,24 @@ class TestTrainCommand:
         assert run(["rerun", out / "manifest.txt", "--out", out2]) == 0
         assert (out / "checkpoint.ckpt").read_bytes() == (out2 / "checkpoint.ckpt").read_bytes()
         assert (out / "loss.txt").read_text() == (out2 / "loss.txt").read_text()
+
+
+STORED = Path(__file__).parent / "data" / "model-df90e2b"
+
+
+class TestStoredModel:
+    """A model directory written by an earlier version still loads and decodes alike."""
+
+    @pytest.mark.parametrize("command,flags,expected", [
+        ("translate", ["--beam", "4"], "beam4.hyps"),
+        ("translate", ["--greedy"], "greedy.hyps"),
+        ("split", ["--beam", "4"], "split4.hyps"),
+    ], ids=["beam4", "greedy", "split-beam4"])
+    def test_hypotheses_are_unchanged(self, tmp_path, command, flags, expected):
+        assert run([command, "--model", STORED, "--src", STORED / "c.src",
+                    "--cover", STORED / "c.cover", "--max-len", "12", *flags,
+                    "--out", tmp_path]) == 0
+        assert (tmp_path / "hyps.txt").read_bytes() == (STORED / expected).read_bytes()
 
 
 class TestTranslateCommand:

@@ -177,6 +177,96 @@ class TestSacraAttention:
             attention(q, aggregated_keys(x, np.ones((3, 3))), v)
 
 
+def composed_attention(q, k, v, bias=None, mask=None):
+    """Attention built from the small autodiff ops: the reference for the fused node."""
+    logits = ad.matmul(q, ad.transpose(k)) * (1.0 / math.sqrt(v.shape[-1]))
+    s = ad.softmax_rows(logits if bias is None else ad.add(logits, bias))
+    return ad.matmul(s if mask is None else ad.mul(s, mask), v)
+
+
+def random_attention_case(rng):
+    """q, k, v, bias and mask for one sentence or a padded batch, with a head axis
+    or none, masked or not, a key that may carry a head axis of 1."""
+    lq, lk, d, dv = (int(n) for n in rng.integers(1, 7, size=4))
+    heads = int(rng.integers(1, 4))
+    batch = int(rng.integers(1, 4)) if rng.random() < 0.5 else None
+    lead = (() if batch is None else (batch,)) + ((heads,) if rng.random() < 0.7 else ())
+    shared_key = len(lead) > 0 and lead[-1] == heads and rng.random() < 0.4
+    k_lead = lead[:-1] + (1,) if shared_key else lead
+    q, k, v = (ad.Tensor(rng.normal(size=shape), requires_grad=True)
+               for shape in (lead + (lq, d), k_lead + (lk, d), lead + (lk, dv)))
+    bias = None
+    if batch is not None and rng.random() < 0.7:
+        lengths = rng.integers(1, lk + 1, size=batch)
+        lengths = lengths.reshape((-1,) + (1,) * (len(lead) + 1))  # meets the batch axis only
+        bias = np.where(np.arange(lk) >= lengths, M.NEG_BIAS, 0.0)
+    elif lq == lk and rng.random() < 0.5:
+        bias = np.triu(np.full((lq, lk), M.NEG_BIAS), k=1)
+    mask = rng.random(lead + (lq, lk)) * (rng.random(lead + (lq, lk)) > 0.3) \
+        if rng.random() < 0.6 else None
+    return q, k, v, bias, mask
+
+
+class TestFusedAttention:
+    """The one-node attention against the composed small ops, kept here as the reference."""
+
+    def test_forward_is_bitwise_and_gradients_agree(self):
+        rng = np.random.default_rng(120)
+        for _ in range(200):
+            q, k, v, bias, mask = random_attention_case(rng)
+            grads = []
+            for fn in (attention, composed_attention):
+                out = fn(q, k, v, bias, mask)
+                r = np.random.default_rng(121).normal(size=out.shape)
+                for t in (q, k, v):
+                    t.zero_grad()
+                ad.sum_all(ad.mul(out, r)).backward()
+                grads.append((out.data, [t.grad.copy() for t in (q, k, v)]))
+            (fused, fused_grads), (composed, composed_grads) = grads
+            np.testing.assert_array_equal(fused, composed)
+            for got, expected in zip(fused_grads, composed_grads):
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+
+    def test_batch_axes_that_do_not_agree_are_refused(self):
+        q, k, v = (ad.Tensor(np.ones((n, 3, 4))) for n in (2, 3, 3))
+        with pytest.raises(DimensionError):
+            attention(q, k, v)
+        with pytest.raises(DimensionError):
+            attention(q, q, q, mask=np.ones((3, 2, 2)))
+
+
+class TestFlatAdam:
+    def test_matches_the_per_tensor_update_bitwise(self):
+        rng = np.random.default_rng(130)
+        shapes = [(3, 4), (5,), (2, 3, 4), (1,)]
+        b1, b2, eps = 0.9, 0.98, 1e-9
+        params = [ad.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        ref = [t.data.copy() for t in params]
+        m_state = [np.zeros(s) for s in shapes]
+        v_state = [np.zeros(s) for s in shapes]
+        adam = M.Adam(params, b1, b2, eps)
+        assert all(np.shares_memory(t.data, adam.data) for t in params)
+        for step in range(1, 7):
+            # a tensor no backward reaches counts as a zero gradient
+            grads = [None if (i + step) % 4 == 0 else rng.normal(size=s)
+                     for i, s in enumerate(shapes)]
+            adam.zero_grad()
+            for t, g in zip(params, grads):
+                if g is not None:
+                    t.accumulate(g)
+            lr = lr_schedule(step, 4, 8) * 10
+            adam.step(lr)
+            for i, g in enumerate(grads):  # the per-tensor update, kept as the reference
+                g = np.zeros(shapes[i]) if g is None else g
+                m_state[i] = b1 * m_state[i] + (1 - b1) * g
+                v_state[i] = b2 * v_state[i] + (1 - b2) * g * g
+                m_hat = m_state[i] / (1 - b1 ** step)
+                v_hat = v_state[i] / (1 - b2 ** step)
+                ref[i] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            for t, expected in zip(params, ref):
+                assert (t.data == expected).all()
+
+
 class TestLrSchedule:
     def test_value_at_warmup(self):
         assert lr_schedule(4000, 4000, 256) == pytest.approx(9.8821e-4, rel=1e-4)
@@ -586,6 +676,42 @@ class TestTraining:
             tokens += len(trg) + 1
         r = train(pairs, cfg, TrainConfig(steps=1, batch_size=5, seed=4), specs, provider)
         assert abs(r.losses[0] - total / tokens) <= 1e-12
+
+    @pytest.mark.parametrize("eval_every", [0, 1, 3])
+    def test_each_pair_mask_is_checked_once_per_train_call(self, monkeypatch, eval_every):
+        pairs, vocab, provider = self.make_task(n_pairs=6)
+        cfg = ModelConfig(src_vocab=len(vocab), trg_vocab=len(vocab),
+                          d_model=8, enc_layers=1, dec_layers=1, heads=2,
+                          d_ff=16, max_len=16)
+        specs = [HeadSpec("encoder", {1}, {1}, MaskSpec("binary"), "sasa"),
+                 HeadSpec("cross", {1}, {2}, MaskSpec("binary"), "sacra")]
+        per_pair = Counter()
+        check = M.check_mask
+
+        def counting(mask, label, shape):
+            if len(shape) == 2:  # one pair's mask; forward passes check [B, S, S] batches
+                per_pair[label] += 1
+            return check(mask, label, shape)
+
+        monkeypatch.setattr(M, "check_mask", counting)
+        train(pairs, cfg, TrainConfig(steps=3, batch_size=2, seed=0, eval_every=eval_every),
+              specs, provider)
+        assert per_pair == {"sasa": len(pairs), "sacra": len(pairs)}
+
+    def test_a_training_step_stays_within_its_tape_node_budget(self):
+        # the criterion-07 model with SASA and SACrA heads, one batch-16 step
+        # as train builds it; 430 nodes before attention became one node and
+        # the head projections one GEMM each
+        sents, vocab, covers = copy_task(pairs=16, seed=13)
+        pairs = [(vocab.encode(s), vocab.encode(s)) for s in sents]
+        masks = [{"sasa": m, "sacra": m} for m in (binary_scene_mask(c).values for c in covers)]
+        cfg = ModelConfig(src_vocab=len(vocab), trg_vocab=len(vocab), d_model=32, heads=2,
+                          d_ff=128, max_len=32)
+        model = Model(cfg, [M.sasa_default(), M.sacra_default()], seed=7)
+        src, trg_in, gold, batch_masks = M.pad_batch(model, pairs, masks)
+        total = ad.cross_entropy_smoothed(model.forward(src, trg_in, batch_masks), gold, 0.1)
+        loss = total * (1.0 / int((gold >= 0).sum()))
+        assert len(ad.Tape.trace(loss).nodes) <= 310
 
     def test_padding_id_in_a_pair_is_rejected(self):
         pairs, vocab, _ = self.make_task()
