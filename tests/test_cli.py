@@ -99,6 +99,31 @@ class TestMasksCommand:
         assert code == 2
 
 
+GOLDEN_MASKS = Path(__file__).parent / "data" / "masks-0e9afa1"
+GOLDEN_UG, GOLDEN_CONLLU = GOLDEN_MASKS / "graphs.ug", GOLDEN_MASKS / "trees.conllu"
+
+
+class TestGoldenMasks:
+    """`scenemt masks` writes the stored mask files byte for byte (see their README)."""
+
+    @pytest.mark.parametrize("family, flags", [
+        ("binary", ["--ucca", GOLDEN_UG]),
+        ("scaled", ["--C", "0.1", "--ucca", GOLDEN_UG]),
+        ("normal", ["--C", "0.5", "--ucca", GOLDEN_UG]),
+        ("pascal", ["--conllu", GOLDEN_CONLLU]),
+        ("udiscal", ["--conllu", GOLDEN_CONLLU]),
+    ])
+    def test_mask_files_are_unchanged(self, tmp_path, family, flags):
+        out = tmp_path / family
+        assert run(["masks", "--family", family, *flags,
+                    "--alignment", GOLDEN_MASKS / "counts.txt", "--out", out]) == 0
+        expected = sorted(p.name for p in (GOLDEN_MASKS / family).glob("mask_*.mask"))
+        assert expected == sorted(p.name for p in out.glob("mask_*.mask"))
+        assert len(expected) == 5
+        for name in expected:
+            assert (out / name).read_bytes() == (GOLDEN_MASKS / family / name).read_bytes(), name
+
+
 class TestHeadSpecFlag:
     def test_global_c_only_touches_scaled_families(self):
         import argparse
