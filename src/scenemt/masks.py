@@ -266,21 +266,35 @@ def write_mask(mask):
 
 
 def read_mask(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("M "):
+    """Parse mask-file text; a bad header, row or entry raises ParseError naming its line."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("M "):
         raise ParseError("mask file must start with an 'M <rows> <cols> <family>' header")
-    fields = lines[0].split()
+    head_line, header = lines[0]
+    fields = header.split()
     if len(fields) != 4:
-        raise ParseError("bad mask header", line=1)
-    rows, cols, family = int(fields[1]), int(fields[2]), fields[3]
+        raise ParseError("bad mask header", line=head_line)
+    try:
+        rows, cols = int(fields[1]), int(fields[2])
+    except ValueError:
+        rows = cols = -1
+    if rows < 0 or cols < 0:
+        raise ParseError(
+            f"mask dimensions must be non-negative integers, got {fields[1]!r} and {fields[2]!r}",
+            line=head_line,
+        )
+    family = fields[3]
     if family not in FAMILIES:
-        raise ParseError(f"unknown mask family {family!r}", line=1)
+        raise ParseError(f"unknown mask family {family!r}", line=head_line)
     if len(lines) - 1 != rows:
         raise ParseError(f"expected {rows} data rows, found {len(lines) - 1}")
     values = np.empty((rows, cols))
-    for i, line in enumerate(lines[1:], start=2):
+    for r, (lineno, line) in enumerate(lines[1:]):
         parts = line.split()
         if len(parts) != cols:
-            raise ParseError(f"expected {cols} columns", line=i)
-        values[i - 2] = [float(p) for p in parts]
+            raise ParseError(f"expected {cols} columns", line=lineno)
+        try:
+            values[r] = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ParseError(f"non-numeric mask entry: {exc}", line=lineno) from exc
     return Mask(values, family)

@@ -14,6 +14,10 @@ A *scene* is any graph node with an outgoing P or S edge; its token set is
 every terminal reachable from it, remote edges included (that is what lets a
 token belong to several scenes). Tokens reachable only outside all scenes are
 recorded as unassigned.
+
+Costs are linear in the graph: each graph indexes its out-edges once, and
+the scene and tree distance matrices are filled in array form with no array
+larger than L x L.
 """
 
 from __future__ import annotations
@@ -43,19 +47,36 @@ class UccaEdge:
 
 @dataclass
 class UccaGraph:
+    """A semantic graph with an index of each node's outgoing edges.
+
+    The index (`out_edges`: parent -> its edges in file order) and the
+    terminal map (`token_of`: terminal node -> token index) are built at
+    construction, so `children`, `reachable`, `tokens_under` and the cycle
+    check cost what they visit, not a scan of every edge. `edges` must not
+    change afterwards.
+    """
+
     nodes: set
     edges: list
     terminals: list  # ordered (node_id, token_index, surface)
     root: str
+    out_edges: dict = field(init=False, repr=False, compare=False)
+    token_of: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.out_edges = {}
+        for e in self.edges:
+            self.out_edges.setdefault(e.parent, []).append(e)
+        self.token_of = {nid: tok for nid, tok, _ in self.terminals}
 
     @property
     def length(self):
         return len(self.terminals)
 
     def children(self, node_id, remote=True):
-        for e in self.edges:
-            if e.parent == node_id and (remote or not e.remote):
-                yield e
+        """Outgoing edges of `node_id` in file order; `remote=False` drops remote ones."""
+        edges = self.out_edges.get(node_id, ())
+        return list(edges) if remote else [e for e in edges if not e.remote]
 
     def validate(self):
         seen_tokens = {}
@@ -75,34 +96,32 @@ class UccaGraph:
         if self.root not in self.nodes:
             raise StructuralError(f"root {self.root!r} is not a declared node")
 
-        # acyclicity over non-remote edges
+        # acyclicity over non-remote edges: an iterative depth-first walk
         color = {}  # 1 = on stack, 2 = finished
 
-        def visit(n):
-            stack = [(n, iter([e.child for e in self.children(n, remote=False)]))]
-            color[n] = 1
+        def local_children(n):
+            return iter([e.child for e in self.children(n, remote=False)])
+
+        for start in sorted(self.nodes):
+            if start in color:
+                continue
+            color[start] = 1
+            stack = [(start, local_children(start))]
             while stack:
                 node, it = stack[-1]
-                advanced = False
                 for c in it:
                     if color.get(c) == 1:
                         raise StructuralError("cycle detected over non-remote edges")
                     if c not in color:
                         color[c] = 1
-                        stack.append((c, iter([e.child for e in self.children(c, remote=False)])))
-                        advanced = True
+                        stack.append((c, local_children(c)))
                         break
-                if not advanced:
+                else:
                     color[node] = 2
                     stack.pop()
 
-        for n in sorted(self.nodes):
-            if n not in color:
-                visit(n)
-
         # every node reachable from the root (remote edges count)
-        reached = self.reachable(self.root)
-        missing = self.nodes - reached
+        missing = self.nodes - self.reachable(self.root)
         if missing:
             raise StructuralError(
                 f"nodes unreachable from root: {sorted(missing)}"
@@ -110,25 +129,20 @@ class UccaGraph:
 
     def reachable(self, start):
         """All nodes reachable from `start`, following every edge."""
-        out_edges = {}
-        for e in self.edges:
-            out_edges.setdefault(e.parent, []).append(e.child)
+        out_edges = self.out_edges
         seen = {start}
         queue = deque([start])
         while queue:
-            n = queue.popleft()
-            for c in out_edges.get(n, ()):
-                if c not in seen:
-                    seen.add(c)
-                    queue.append(c)
+            for e in out_edges.get(queue.popleft(), ()):
+                if e.child not in seen:
+                    seen.add(e.child)
+                    queue.append(e.child)
         return seen
 
     def tokens_under(self, node_id):
         """Token indices of terminals reachable from `node_id`."""
-        terminal_tok = {nid: tok for nid, tok, _ in self.terminals}
-        return frozenset(
-            terminal_tok[n] for n in self.reachable(node_id) if n in terminal_tok
-        )
+        token_of = self.token_of
+        return frozenset(token_of[n] for n in self.reachable(node_id) if n in token_of)
 
 
 @dataclass(frozen=True)
@@ -161,37 +175,6 @@ class SceneCover:
             raise StructuralError(
                 "scene token sets plus unassigned must cover 0..L-1 exactly"
             )
-
-
-@dataclass
-class SceneGraph:
-    """Scenes as nodes, an edge wherever two scenes share a token."""
-
-    n_scenes: int
-    adj: list  # adj[i] = set of neighbouring scene ids
-
-    @classmethod
-    def from_cover(cls, cover):
-        n = len(cover.scenes)
-        adj = [set() for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if cover.scenes[i].tokens & cover.scenes[j].tokens:
-                    adj[i].add(j)
-                    adj[j].add(i)
-        return cls(n, adj)
-
-    def distances_from(self, start):
-        dist = [np.inf] * self.n_scenes
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in sorted(self.adj[u]):
-                if dist[v] == np.inf:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        return dist
 
 
 def parse_ucca(text):
@@ -269,7 +252,7 @@ def extract_scenes(graph):
     one node violate the one-main-relation rule.
     """
     scenes = []
-    for node in sorted(graph.nodes):
+    for node in sorted(graph.out_edges):
         main_edges = [
             e for e in graph.children(node)
             if e.category in MAIN_RELATION_CATEGORIES
@@ -313,28 +296,36 @@ def scene_distance(cover):
     """L x L matrix of token distances through the scene graph.
 
     0 when two tokens share a scene, otherwise the shortest scene-graph path
-    between any scene of i and any scene of j; infinity when disconnected or
-    when either token is unassigned.
+    (scenes adjacent when they share a token) between any scene of i and any
+    scene of j; infinity when disconnected or when either token is
+    unassigned.
+
+    Array form: scene-to-scene hop counts come from a breadth-first walk of
+    all scenes at once over the token-scene incidence matrix; each token
+    row is then a running minimum over the scenes that hold the token.
     """
-    L = cover.length
+    L, S = cover.length, len(cover.scenes)
+    member = np.zeros((S, L), dtype=bool)
+    for k, scene in enumerate(cover.scenes):
+        member[k, list(scene.tokens)] = True
+
+    adjacent = member @ member.T  # a boolean product skips BLAS and its work buffer
+    hops = np.where(np.eye(S, dtype=bool), 0.0, np.inf)
+    reached = frontier = np.eye(S, dtype=bool)
+    step = 0
+    while frontier.any():
+        step += 1
+        frontier = (frontier @ adjacent) & ~reached
+        reached = reached | frontier
+        hops[frontier] = step
+
+    # near[a, j]: fewest hops from scene a to any scene holding token j
+    near = np.full((S, L), np.inf)
+    for b in range(S):
+        near[:, member[b]] = np.minimum(near[:, member[b]], hops[:, b, None])
     dist = np.full((L, L), np.inf)
-    sg = SceneGraph.from_cover(cover)
-    scene_dist = [sg.distances_from(i) for i in range(sg.n_scenes)]
-
-    token_scenes = [[] for _ in range(L)]
-    for idx, s in enumerate(cover.scenes):
-        for t in s.tokens:
-            token_scenes[t].append(idx)
-
-    for i in range(L):
-        for j in range(i, L):
-            best = np.inf
-            for si in token_scenes[i]:
-                row = scene_dist[si]
-                for sj in token_scenes[j]:
-                    if row[sj] < best:
-                        best = row[sj]
-            dist[i, j] = dist[j, i] = best
+    for a in range(S):
+        dist[member[a]] = np.minimum(dist[member[a]], near[a])
     return dist
 
 
@@ -518,21 +509,32 @@ def serialize_conllu(graphs):
 
 
 def ud_tree_distances(graph):
-    """All-pairs shortest-path lengths over the undirected dependency tree."""
+    """All-pairs shortest-path lengths over the undirected dependency tree.
+
+    Array form, one pass per tree level. With anc[j, i] true when i is j or
+    an ancestor of j, a root's row holds the depths of its tree's tokens,
+    and a token i under parent p has d(i, j) = d(p, j) + 1, less 2 when j
+    lies in the subtree of i. Tokens in different trees of a forest stay
+    infinitely far apart. Head links that form a cycle raise
+    StructuralError.
+    """
     L = graph.length
-    adj = [[] for _ in range(L)]
-    for i, h in enumerate(graph.heads):
-        if h != ROOT_HEAD:
-            adj[i].append(h)
-            adj[h].append(i)
+    heads = np.asarray(graph.heads, dtype=np.intp).reshape(L)
+    anc = np.zeros((L, L), dtype=bool)
+    depth = np.full(L, -1)
+    rows = up = np.arange(L)
+    while rows.size:  # the k-th pass marks every token's k-th ancestor
+        if anc[rows, up].any():
+            raise StructuralError("head links form a cycle")
+        anc[rows, up] = True
+        depth[rows] += 1
+        up = heads[up]
+        keep = up != ROOT_HEAD
+        rows, up = rows[keep], up[keep]
     dist = np.full((L, L), np.inf)
-    for s in range(L):
-        dist[s, s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[s, v] == np.inf:
-                    dist[s, v] = dist[s, u] + 1
-                    queue.append(v)
+    roots = np.flatnonzero(depth == 0)
+    dist[roots] = np.where(anc[:, roots].T, depth, np.inf)
+    for level in range(1, depth.max(initial=0) + 1):
+        nodes = np.flatnonzero(depth == level)
+        dist[nodes] = dist[heads[nodes]] + 1.0 - 2.0 * anc[:, nodes].T
     return dist

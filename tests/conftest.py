@@ -1,7 +1,10 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 from scenemt import semgraph
+from scenemt.errors import StructuralError
 
 # "I saw the dog that barked ." -- two scenes sharing "dog"; "that" and "."
 # hang outside both scenes.
@@ -91,3 +94,102 @@ def floyd_warshall(n, edges):
                 if through < dist[i, j]:
                     dist[i, j] = through
     return dist
+
+
+# -- references for the fast graph paths --------------------------------------
+#
+# The simple algorithms that semgraph replaced with an edge index and array
+# forms, kept as oracles: they scan the raw edge list and walk scenes pair
+# by pair.
+
+
+class SceneGraph:
+    """Scenes as nodes, an edge wherever two scenes share a token."""
+
+    def __init__(self, n_scenes, adj):
+        self.n_scenes = n_scenes
+        self.adj = adj  # adj[i] = set of neighbouring scene ids
+
+    @classmethod
+    def from_cover(cls, cover):
+        n = len(cover.scenes)
+        adj = [set() for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if cover.scenes[i].tokens & cover.scenes[j].tokens:
+                    adj[i].add(j)
+                    adj[j].add(i)
+        return cls(n, adj)
+
+    def distances_from(self, start):
+        dist = [np.inf] * self.n_scenes
+        dist[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in sorted(self.adj[u]):
+                if dist[v] == np.inf:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        return dist
+
+
+def bfs_scene_distance(cover):
+    """Token distances: a BFS per scene, then the best scene pair per token pair."""
+    L = cover.length
+    dist = np.full((L, L), np.inf)
+    sg = SceneGraph.from_cover(cover)
+    scene_dist = [sg.distances_from(i) for i in range(sg.n_scenes)]
+    token_scenes = [[] for _ in range(L)]
+    for idx, s in enumerate(cover.scenes):
+        for t in s.tokens:
+            token_scenes[t].append(idx)
+    for i in range(L):
+        for j in range(i, L):
+            best = np.inf
+            for si in token_scenes[i]:
+                for sj in token_scenes[j]:
+                    best = min(best, scene_dist[si][sj])
+            dist[i, j] = dist[j, i] = best
+    return dist
+
+
+def scan_children(graph, node_id, remote=True):
+    return [e for e in graph.edges if e.parent == node_id and (remote or not e.remote)]
+
+
+def scan_tokens_under(graph, node_id):
+    """Terminals reachable from `node_id`, scanning every edge at every step."""
+    seen, queue = {node_id}, deque([node_id])
+    while queue:
+        n = queue.popleft()
+        for e in scan_children(graph, n):
+            if e.child not in seen:
+                seen.add(e.child)
+                queue.append(e.child)
+    tok = {nid: t for nid, t, _ in graph.terminals}
+    return frozenset(tok[n] for n in seen if n in tok)
+
+
+def scan_extract_scenes(graph):
+    """extract_scenes over edge-scanning children and reachability."""
+    scenes = []
+    for node in sorted(graph.nodes):
+        main_edges = [e for e in scan_children(graph, node)
+                      if e.category in semgraph.MAIN_RELATION_CATEGORIES]
+        if not main_edges:
+            continue
+        if len(main_edges) > 1:
+            raise StructuralError(
+                f"node {node!r} has {len(main_edges)} main-relation edges"
+            )
+        participants = tuple(scan_tokens_under(graph, e.child)
+                             for e in scan_children(graph, node) if e.category == "A")
+        scenes.append((scan_tokens_under(graph, node), main_edges[0].category,
+                       scan_tokens_under(graph, main_edges[0].child), participants))
+    scenes.sort(key=lambda s: (min(s[0], default=-1), sorted(s[2])))
+    built = [semgraph.Scene(i, *s) for i, s in enumerate(scenes)]
+    assigned = frozenset().union(*(s.tokens for s in built))
+    cover = semgraph.SceneCover(graph.length, built, frozenset(range(graph.length)) - assigned)
+    cover.validate()
+    return cover

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from scenemt import masks
-from scenemt.errors import AlignmentError, ConfigError, DimensionError
+from scenemt.errors import AlignmentError, ConfigError, DimensionError, ParseError
 from scenemt.masks import (
     Alignment,
     Mask,
@@ -383,6 +383,20 @@ class TestMaskFiles:
         ):
             assert mask.values.min() >= 0.0
             assert mask.values.max() <= 1.0
+
+    @pytest.mark.parametrize("text, line, what", [
+        ("M x 3 binary\n", 1, "non-negative integers"),
+        ("M -1 2 binary\n", 1, "non-negative integers"),
+        ("M 2 2.5 binary\n1 1\n1 1\n", 1, "non-negative integers"),
+        ("M 1 2 binary\nfoo 1\n", 2, "non-numeric"),
+        ("\nM 2 2 binary\n1 1\n\n1 foo\n", 5, "non-numeric"),
+        ("M 1 2 binary\n1 1 1\n", 2, "expected 2 columns"),
+    ], ids=["word-rows", "negative-rows", "fractional-cols", "word-entry",
+            "entry-after-blank-lines", "extra-column"])
+    def test_bad_text_raises_parse_error_naming_line(self, text, line, what):
+        with pytest.raises(ParseError, match=what) as info:
+            read_mask(text)
+        assert info.value.line == line
 
 
 def per_value_write_mask(mask):

@@ -1,5 +1,6 @@
 """Graph ingestion, scene extraction, distances, and splitting."""
 
+import re
 from collections import deque
 
 import numpy as np
@@ -11,7 +12,6 @@ from scenemt.semgraph import (
     ROOT_HEAD,
     Scene,
     SceneCover,
-    SceneGraph,
     extract_scenes,
     parse_conllu,
     parse_cover,
@@ -25,9 +25,15 @@ from scenemt.semgraph import (
 from conftest import (
     BARKED, DOG, DOT, I, SAW, THAT, THE,
     TWO_SCENE_TOKENS,
+    SceneGraph,
+    bfs_scene_distance,
     floyd_warshall,
     random_cover,
+    random_tree_heads,
     random_ud_graph,
+    scan_children,
+    scan_extract_scenes,
+    scan_tokens_under,
 )
 
 
@@ -205,6 +211,105 @@ class TestExtractScenes:
             assert union == set(range(cover.length))
 
 
+def random_ucca_text(rng, n_tokens, local_cycle=False):
+    """A random `.ug` graph block over `n_tokens` shuffled terminals.
+
+    Units form a tree under the root, each with at least one terminal; some
+    units get a P or S main relation (now and then two); remote edges point
+    anywhere, often back up to an ancestor, which makes cycles through
+    remote edges. `local_cycle` adds one non-remote edge back up the tree.
+    """
+    units = ["root"] + [f"u{k}" for k in range(int(rng.integers(0, max(1, n_tokens // 2))))]
+    edges = [(units[int(rng.integers(k))], u, str(rng.choice(list("HAEC"))), "")
+             for k, u in enumerate(units) if k]
+    for i in range(n_tokens):
+        parent = units[i] if i < len(units) else units[int(rng.integers(len(units)))]
+        edges.append((parent, f"t{i}", str(rng.choice(list("ACEFDU"))), ""))
+    for u in units:
+        own = [k for k, e in enumerate(edges) if e[0] == u]
+        n_main = int(rng.choice([0, 1, 2], p=[0.35, 0.6, 0.05]))
+        for k in rng.choice(own, size=min(n_main, len(own)), replace=False):
+            edges[k] = edges[k][:2] + (str(rng.choice(["P", "S"])), "")
+    nodes = units + [f"t{i}" for i in range(n_tokens)]
+    for _ in range(int(rng.integers(0, 2 * len(units) + 1))):
+        edges.append((units[int(rng.integers(len(units)))], nodes[int(rng.integers(len(nodes)))],
+                      str(rng.choice(["A", "A", "C", "P"])), " R"))
+    if local_cycle and len(units) > 1:
+        edges.append((units[-1], units[int(rng.integers(len(units)))], "A", ""))
+    order = rng.permutation(n_tokens)
+    lines = [f"#L {n_tokens}"] + [f"T t{i} {int(order[i])} w{i}" for i in range(n_tokens)]
+    lines += [f"E {p} {c} {cat}{flag}" for p, c, cat, flag in
+              (edges[int(k)] for k in rng.permutation(len(edges)))]
+    return "\n".join(lines + ["ROOT root"]) + "\n"
+
+
+def has_remote_cycle(graph):
+    """Whether some remote edge leads back to a node that reaches its parent."""
+    reach = {n: graph.reachable(n) for n in graph.nodes}
+    return any(e.remote and e.parent in reach[e.child] for e in graph.edges)
+
+
+def local_edges_acyclic(text):
+    """Kahn's algorithm over the non-remote edges of a `.ug` block."""
+    local = [ln.split()[1:3] for ln in text.splitlines()
+             if ln.startswith("E ") and len(ln.split()) == 4]
+    indegree = {n: 0 for edge in local for n in edge}
+    for _, c in local:
+        indegree[c] += 1
+    ready = [n for n, d in indegree.items() if d == 0]
+    while ready:
+        n = ready.pop()
+        for p, c in local:
+            if p == n:
+                indegree[c] -= 1
+                if indegree[c] == 0:
+                    ready.append(c)
+    return all(d == 0 for d in indegree.values())
+
+
+class TestEdgeIndex:
+    """The out-edge index against scans of the raw edge list."""
+
+    def test_children_and_tokens_under_match_edge_scans(self):
+        rng = np.random.default_rng(30)
+        for _ in range(60):
+            g = parse_ucca(random_ucca_text(rng, int(rng.integers(1, 48))))
+            for n in sorted(g.nodes):
+                for remote in (True, False):
+                    assert list(g.children(n, remote)) == scan_children(g, n, remote)
+                assert g.tokens_under(n) == scan_tokens_under(g, n)
+
+    def test_extract_scenes_matches_edge_scans(self):
+        rng = np.random.default_rng(31)
+        cycles = scenes = 0
+        for _ in range(200):
+            g = parse_ucca(random_ucca_text(rng, int(rng.integers(1, 64))))
+            cycles += has_remote_cycle(g)
+            try:
+                expected = scan_extract_scenes(g)
+            except StructuralError as exc:
+                with pytest.raises(StructuralError, match=re.escape(str(exc))):
+                    extract_scenes(g)
+                continue
+            assert extract_scenes(g) == expected
+            scenes += len(expected.scenes)
+        assert cycles >= 50 and scenes >= 200  # the generator reaches the cases it is for
+
+    def test_cycle_check_matches_kahn(self):
+        rng = np.random.default_rng(32)
+        outcomes = set()
+        for _ in range(150):
+            text = random_ucca_text(rng, int(rng.integers(2, 40)), local_cycle=rng.random() < 0.5)
+            acyclic = local_edges_acyclic(text)
+            outcomes.add(acyclic)
+            if acyclic:
+                parse_ucca(text)
+            else:
+                with pytest.raises(StructuralError, match="cycle"):
+                    parse_ucca(text)
+        assert outcomes == {True, False}
+
+
 # -- scene distances -----------------------------------------------------------
 
 
@@ -312,6 +417,36 @@ class TestSceneDistance:
                         i in s.tokens and j in s.tokens for s in cover.scenes
                     )
                     assert (d[i, j] == 0) == shared
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_covers_match_bfs_reference(self, seed):
+        # up to 12 scenes over up to 128 tokens: windows that mostly chain
+        # into long scene paths, scattered scenes, and no scene at all
+        rng = np.random.default_rng(40 + seed)
+        longest = 0
+        for case in range(12):
+            L = int(rng.integers(1, 129))
+            n_scenes = 0 if case % 6 == 0 else int(rng.integers(1, 13))
+            scenes, start = [], int(rng.integers(L))
+            for sid in range(n_scenes):
+                if case % 2:
+                    width = int(rng.integers(1, 12))
+                    tokens = frozenset(range(start, start + width)) & frozenset(range(L))
+                    chained = rng.random() < 0.8
+                    start = (start + width - 1 if chained else int(rng.integers(L))) % L
+                else:
+                    size = int(rng.integers(1, min(L, 16) + 1))
+                    tokens = frozenset(int(t) for t in rng.choice(L, size=size, replace=False))
+                scenes.append(Scene(sid, tokens, "P", frozenset({min(tokens)})))
+            assigned = frozenset().union(*(s.tokens for s in scenes))
+            cover = SceneCover(L, scenes, frozenset(range(L)) - assigned)
+            cover.validate()
+            d = scene_distance(cover)
+            np.testing.assert_array_equal(d, bfs_scene_distance(cover))
+            if n_scenes == 0:
+                assert np.isinf(d).all()
+            longest = max(longest, d[np.isfinite(d)].max(initial=0))
+        assert longest >= 3
 
 
 # -- sentence splitting ----------------------------------------------------------
@@ -448,3 +583,51 @@ class TestConllu:
         np.testing.assert_array_equal(
             ud_tree_distances(g), floyd_warshall(g.length, edges)
         )
+
+
+def forest_heads(sizes, rng):
+    """Heads of several random trees side by side, tokens shuffled together."""
+    heads, offset = [], 0
+    for n in sizes:
+        heads += [h if h == ROOT_HEAD else h + offset for h in random_tree_heads(n, rng)]
+        offset += n
+    order = [int(i) for i in rng.permutation(offset)]
+    new = {old: k for k, old in enumerate(order)}
+    return [ROOT_HEAD if heads[old] == ROOT_HEAD else new[heads[old]] for old in order]
+
+
+def tree_edges(heads):
+    return [(i, h) for i, h in enumerate(heads) if h != ROOT_HEAD]
+
+
+class TestTreeDistances:
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 30, 64, 128])
+    def test_random_trees_match_floyd_warshall(self, n):
+        g = random_ud_graph(n, np.random.default_rng(n))
+        g.validate()
+        np.testing.assert_array_equal(ud_tree_distances(g), floyd_warshall(n, tree_edges(g.heads)))
+
+    def test_deep_trees_match_floyd_warshall(self):
+        rng = np.random.default_rng(50)
+        for n in (2, 17, 48):
+            # each token hangs off one of the two placed just before it
+            heads = [ROOT_HEAD] + [max(0, i - 1 - int(rng.integers(2))) for i in range(1, n)]
+            g = semgraph.UdGraph(n, heads, ["dep"] * n)
+            g.validate()
+            expected = floyd_warshall(n, tree_edges(heads))
+            np.testing.assert_array_equal(ud_tree_distances(g), expected)
+
+    def test_unvalidated_forests_match_floyd_warshall(self):
+        rng = np.random.default_rng(51)
+        for _ in range(12):
+            sizes = [int(k) for k in rng.integers(1, 12, size=int(rng.integers(2, 6)))]
+            heads = forest_heads(sizes, rng)
+            n = len(heads)
+            d = ud_tree_distances(semgraph.UdGraph(n, heads, ["dep"] * n))
+            np.testing.assert_array_equal(d, floyd_warshall(n, tree_edges(heads)))
+            assert np.isinf(d).sum() == n * n - sum(k * k for k in sizes)
+
+    @pytest.mark.parametrize("heads", [[0], [1, 0], [ROOT_HEAD, 2, 3, 1]])
+    def test_head_cycle_raises(self, heads):
+        with pytest.raises(StructuralError, match="cycle"):
+            ud_tree_distances(semgraph.UdGraph(len(heads), heads, ["dep"] * len(heads)))
