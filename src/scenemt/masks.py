@@ -274,16 +274,12 @@ def read_mask(text):
     fields = header.split()
     if len(fields) != 4:
         raise ParseError("bad mask header", line=head_line)
-    try:
-        rows, cols = int(fields[1]), int(fields[2])
-    except ValueError:
-        rows = cols = -1
-    if rows < 0 or cols < 0:
+    if not (fields[1].isdecimal() and fields[2].isdecimal()):
         raise ParseError(
             f"mask dimensions must be non-negative integers, got {fields[1]!r} and {fields[2]!r}",
             line=head_line,
         )
-    family = fields[3]
+    rows, cols, family = int(fields[1]), int(fields[2]), fields[3]
     if family not in FAMILIES:
         raise ParseError(f"unknown mask family {family!r}", line=head_line)
     if len(lines) - 1 != rows:
