@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1243,3 +1244,35 @@ class TestIncrementalDecoding:
             calls.clear()
             translate(model, src, masks, DecodeConfig(beam=4, max_len=cap))
             assert dict(calls) == per_forward
+
+
+GOLDEN_DECODES = Path(__file__).parent / "data" / "decode-b8628de" / "decodes.txt"
+
+
+def golden_decodes():
+    """Beam-4 and greedy decodes of a seeded, untrained model with SASA and SACrA heads.
+
+    One line per source and search: the source ids, the tokens, repr(score)
+    and the finished flag. tests/data/decode-b8628de/README.md shows how
+    the stored copy was written.
+    """
+    cfg = tiny_config(enc_layers=4, dec_layers=4, src_vocab=12, trg_vocab=12, d_model=16,
+                      d_ff=32, max_len=24)
+    model = random_out_model(cfg, [M.sasa_default(), M.sacra_default()], seed=5)
+    rng = np.random.default_rng(92)
+    lines = []
+    for n in (2, 5, 8, 11, 15):
+        src = [int(x) for x in rng.integers(4, 12, size=n)]
+        m = (rng.random((n, n)) > 0.4) * rng.random((n, n))
+        np.fill_diagonal(m, 1.0)
+        masks = {"sasa": m, "sacra": m.T.copy()}
+        for name, greedy in (("beam4", False), ("greedy", True)):
+            got = translate(model, src, masks, DecodeConfig(beam=4, max_len=20), greedy=greedy)
+            lines.append(f"{name} src={' '.join(map(str, src))} "
+                         f"tokens={' '.join(map(str, got.tokens))} score={got.score!r} "
+                         f"finished={got.finished}")
+    return "\n".join(lines) + "\n"
+
+
+def test_decodes_are_byte_identical_to_the_stored_ones():
+    assert golden_decodes() == GOLDEN_DECODES.read_text(encoding="utf-8")
