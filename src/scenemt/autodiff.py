@@ -10,9 +10,11 @@ double precision so finite-difference checks can be tight.
 A training step's time goes to per-node Python overhead, not to FLOPs, so
 its hot path is a few large nodes: `attention` is one node with a
 hand-written backward, `project_heads` and `merge_heads` move all heads of a
-sublayer through one GEMM, and `matmul` folds a batch into rows under a
-2-D weight. Each agrees with the composed small ops it replaces to rounding
-(the attention forward bitwise); the tests keep those as the reference.
+sublayer through one GEMM, `linear` is a 2-D weight's GEMM and its bias add
+with the batch folded into rows, and `layer_norm` normalizes a residual sum.
+Each forward is bitwise the composed small ops it replaces, and each
+gradient agrees with theirs to rounding; the tests keep those as the
+reference.
 """
 
 from __future__ import annotations
@@ -172,28 +174,12 @@ def _swap(x):
 
 
 def matmul(a, b):
-    """Matrix product over the last two axes; leading axes broadcast.
-
-    A 2-D weight under a batch ([B, L, d] x [d, k]) has the batch folded into
-    rows, so forward and backward are one GEMM each.
-    """
+    """Matrix product over the last two axes; leading axes broadcast."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise DimensionError(
             f"matmul shapes do not agree: {a.data.shape} x {b.data.shape}"
         )
-    if b.data.ndim == 2:
-        rows = a.data.reshape(-1, a.data.shape[-1])
-        out_data = (rows @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:])
-
-        def backward(g):
-            g = g.reshape(-1, b.data.shape[1])
-            if a.requires_grad:
-                a.accumulate((g @ b.data.T).reshape(a.data.shape))
-            if b.requires_grad:
-                b.accumulate(rows.T @ g)
-
-        return _make(out_data, (a, b), backward)
     try:
         out_data = a.data @ b.data
     except ValueError:
@@ -208,6 +194,34 @@ def matmul(a, b):
             b.accumulate(_unbroadcast(_swap(a.data) @ g, b.data.shape))
 
     return _make(out_data, (a, b), backward)
+
+
+def linear(x, w, b):
+    """x @ w + b for x [..., d], a 2-D weight w [d, k] and a bias b [k], as [..., k].
+
+    The leading axes of x fold into rows, so the forward is one GEMM and one
+    add, and the backward one GEMM per matrix. The bias gradient is summed
+    one leading axis at a time, in the order of a separate `add` node, so a
+    training run's losses stay bitwise those of matmul plus add.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    d, k = w.data.shape if w.data.ndim == 2 else (None, None)
+    if x.data.shape[-1:] != (d,) or b.data.shape != (k,):
+        raise DimensionError(f"linear shapes do not agree: {x.data.shape} x {w.data.shape} "
+                             f"+ {b.data.shape}")
+    rows = x.data.reshape(-1, d)
+    out_data = (rows @ w.data + b.data).reshape(x.data.shape[:-1] + (k,))
+
+    def backward(g):
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(g, (k,)))
+        g = g.reshape(-1, k)
+        if x.requires_grad:
+            x.accumulate((g @ w.data.T).reshape(x.data.shape))
+        if w.requires_grad:
+            w.accumulate(rows.T @ g)
+
+    return _make(out_data, (x, w, b), backward)
 
 
 def project_heads(x, w):
@@ -319,17 +333,6 @@ def reshape(a, shape):
     return _make(a.data.reshape(shape), (a,), backward)
 
 
-def sum_axis(x, axis):
-    """Sum over one axis, which the output drops."""
-    x = _as_tensor(x)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate(np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
-
-    return _make(x.data.sum(axis=axis), (x,), backward)
-
-
 def relu(a):
     a = _as_tensor(a)
     mask = a.data > 0
@@ -376,11 +379,18 @@ def embedding(table, ids):
     return _make(out_data, (table,), backward)
 
 
-def layer_norm(x, gain, bias, eps=1e-6):
-    """Per-row normalization over the last axis with learned gain/bias."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+def layer_norm(x, sub, gain, bias, eps=1e-6):
+    """LayerNorm(x + sub) over the last axis with learned gain and bias, as one node.
+
+    A sublayer output's residual sum (Vaswani et al. 2017); x and sub get
+    the same gradient. Each mean is a sum divided by the length: for float64
+    that is bitwise np.mean, without its Python wrapper.
+    """
+    x, sub, gain, bias = _as_tensor(x), _as_tensor(sub), _as_tensor(gain), _as_tensor(bias)
+    n = x.data.shape[-1]
+    total = x.data + sub.data
+    xc = total - np.add.reduce(total, axis=-1, keepdims=True) / n
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out_data = gain.data * xhat + bias.data
@@ -390,13 +400,16 @@ def layer_norm(x, gain, bias, eps=1e-6):
             bias.accumulate(_unbroadcast(g, bias.data.shape))
         if gain.requires_grad:
             gain.accumulate(_unbroadcast(g * xhat, gain.data.shape))
-        if x.requires_grad:
+        if x.requires_grad or sub.requires_grad:
             gx = g * gain.data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate(inv * (gx - m1 - xhat * m2))
+            m1 = np.add.reduce(gx, axis=-1, keepdims=True) / n
+            m2 = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / n
+            gtotal = inv * (gx - m1 - xhat * m2)
+            for t in (x, sub):
+                if t.requires_grad:
+                    t.accumulate(gtotal)
 
-    return _make(out_data, (x, gain, bias), backward)
+    return _make(out_data, (x, sub, gain, bias), backward)
 
 
 def cross_entropy_smoothed(logits, targets, smoothing):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import shlex
 import sys
 from pathlib import Path
@@ -484,7 +485,13 @@ def _add_decode_flags(p):
     p.add_argument("--greedy", action="store_true", help="argmax decoding")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process; `rerun` re-enters main and shares it.
+
+    Subcommand NAME runs `cmd_NAME`, looked up by `main` at each call, so a
+    replaced module attribute (a test's patch, a profiler's wrapper) runs.
+    """
     parser = argparse.ArgumentParser(
         prog="scenemt",
         description="Scene-aware attention masks and a small NMT pipeline.",
@@ -497,7 +504,6 @@ def build_parser():
     p.add_argument("--C", type=float, default=None)
     _add_mask_inputs(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_masks)
 
     p = sub.add_parser("train", help="train a model on a parallel corpus")
     p.add_argument("--src", required=True)
@@ -528,7 +534,6 @@ def build_parser():
     p.add_argument("--max-len", type=int, default=64, dest="max_len")
     p.add_argument("--eval-every", type=int, default=0, dest="eval_every")
     p.add_argument("--target-accuracy", type=float, default=None, dest="target_accuracy")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("translate", help="decode a source file with a trained model")
     p.add_argument("--model", required=True, help="directory written by train")
@@ -536,7 +541,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     _add_mask_inputs(p)
     _add_decode_flags(p)
-    p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("split", help="translate each scene separately, join with periods")
     p.add_argument("--model", required=True)
@@ -544,7 +548,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     _add_mask_inputs(p)
     _add_decode_flags(p)
-    p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("evaluate", help="score hypotheses against references")
     p.add_argument("--hyp", required=True)
@@ -554,18 +557,15 @@ def build_parser():
     p.add_argument("--per-sentence", action="store_true", dest="per_sentence",
                    help="also write per-sentence scores as TSV")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", help="sign test between two score files")
     p.add_argument("--a", required=True, help="baseline score file")
     p.add_argument("--b", required=True, help="candidate score file")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("rerun", help="replay a command from its manifest")
     p.add_argument("manifest")
     p.add_argument("--out", default=None, help="override the output directory")
-    p.set_defaults(func=cmd_rerun)
 
     return parser
 
@@ -573,12 +573,9 @@ def build_parser():
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.func is cmd_rerun:
-            return cmd_rerun(args, argv)
-        return args.func(args, list(argv))
+        return globals()[f"cmd_{args.command}"](args, list(argv))
     except ConfigError as exc:
         print(f"scenemt: config error: {exc}", file=sys.stderr)
         return 2

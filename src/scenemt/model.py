@@ -378,12 +378,12 @@ class Model:
 
     def _ffn(self, prefix, x):
         p = self.params
-        h = ad.relu(ad.add(ad.matmul(x, p[f"{prefix}.ffn.w1"]), p[f"{prefix}.ffn.b1"]))
-        return ad.add(ad.matmul(h, p[f"{prefix}.ffn.w2"]), p[f"{prefix}.ffn.b2"])
+        h = ad.relu(ad.linear(x, p[f"{prefix}.ffn.w1"], p[f"{prefix}.ffn.b1"]))
+        return ad.linear(h, p[f"{prefix}.ffn.w2"], p[f"{prefix}.ffn.b2"])
 
     def _sublayer_norm(self, prefix, x, sub):
         p = self.params
-        return ad.layer_norm(ad.add(x, sub), p[f"{prefix}.g"], p[f"{prefix}.b"])
+        return ad.layer_norm(x, sub, p[f"{prefix}.g"], p[f"{prefix}.b"])
 
     def _qkv(self, prefix, x):
         p = self.params
@@ -473,17 +473,13 @@ class Model:
             y = self._sublayer_norm(f"dec.{l}.ln2", y, cross)
             y = self._sublayer_norm(f"dec.{l}.ln3", y, self._ffn(f"dec.{l}", y))
         state.steps += ids.shape[-1]
-        return ad.add(ad.matmul(y, p["out.w"]), p["out.b"])
+        return ad.linear(y, p["out.w"], p["out.b"])
 
     def forward(self, src_ids, trg_in_ids, masks=None):
         src_lengths = _lengths(np.asarray(src_ids))
         return self.decode(trg_in_ids, self.encode(src_ids, masks), masks, src_lengths)
 
     # persistence -------------------------------------------------------------------
-
-    def zero_grads(self):
-        for t in self.params.values():
-            t.zero_grad()
 
     def state_arrays(self):
         return {name: t.data for name, t in self.params.items()}

@@ -3,6 +3,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from scenemt import autodiff as ad
 from scenemt import semgraph
 from scenemt.errors import StructuralError
 
@@ -193,3 +194,29 @@ def scan_extract_scenes(graph):
     cover = semgraph.SceneCover(graph.length, built, frozenset(range(graph.length)) - assigned)
     cover.validate()
     return cover
+
+
+def reference_layer_norm(x, gain, bias, eps=1e-6):
+    """The layer-norm node before the residual add was folded in, with np.mean.
+
+    `ad.add` followed by this is the composed reference for `ad.layer_norm`.
+    """
+    x, gain, bias = ad._as_tensor(x), ad._as_tensor(gain), ad._as_tensor(bias)
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out_data = gain.data * xhat + bias.data
+
+    def backward(g):
+        if bias.requires_grad:
+            bias.accumulate(ad._unbroadcast(g, bias.data.shape))
+        if gain.requires_grad:
+            gain.accumulate(ad._unbroadcast(g * xhat, gain.data.shape))
+        if x.requires_grad:
+            gx = g * gain.data
+            m1 = gx.mean(axis=-1, keepdims=True)
+            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+            x.accumulate(inv * (gx - m1 - xhat * m2))
+
+    return ad._make(out_data, (x, gain, bias), backward)

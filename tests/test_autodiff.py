@@ -6,6 +6,8 @@ import pytest
 from scenemt import autodiff as ad
 from scenemt.errors import DimensionError, ParseError
 
+from conftest import reference_layer_norm
+
 
 def test_matmul_identity():
     x = np.arange(6.0).reshape(2, 3)
@@ -131,20 +133,76 @@ def test_merge_heads_matches_a_per_head_loop(lead):
 
 
 @pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=["batch", "two-batch-axes"])
-def test_matmul_folds_a_2d_weight_like_a_per_item_loop(lead):
+def test_linear_folds_a_2d_weight_like_a_per_item_loop(lead):
     rng = np.random.default_rng(51 + len(lead))
     a = ad.Tensor(rng.normal(size=lead + (4, 5)), requires_grad=True)
     w = ad.Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=2), requires_grad=True)
 
-    def loop(a, w):
-        return np.stack([x @ w for x in a.reshape(-1, 4, 5)]).reshape(lead + (4, 2))
+    def loop(a, w, b):
+        return np.stack([x @ w + b for x in a.reshape(-1, 4, 5)]).reshape(lead + (4, 2))
 
-    def loop_grads(g, a, w):
+    def loop_grads(g, a, w, b):
         items = list(zip(a.reshape(-1, 4, 5), g.reshape(-1, 4, 2)))
         da = np.stack([gb @ w.T for _, gb in items]).reshape(a.shape)
-        return da, sum(x.T @ gb for x, gb in items)
+        return da, sum(x.T @ gb for x, gb in items), sum(gb.sum(axis=0) for _, gb in items)
 
-    _fused_against_loop(ad.matmul, loop, loop_grads, [a, w], rng)
+    _fused_against_loop(ad.linear, loop, loop_grads, [a, w, b], rng)
+
+
+def _fused_against_composed(fused, composed, inputs, rng):
+    """A fused node's forward bitwise against the composed ops it replaces, their
+    gradients under one random upstream gradient to 1e-10, then grad_check on each input."""
+    out = fused(*inputs)
+    r = rng.normal(size=out.shape)
+    grads = []
+    for f in (fused, composed):
+        for t in inputs:
+            t.zero_grad()
+        result = f(*inputs)
+        np.testing.assert_array_equal(result.data, out.data)
+        ad.sum_all(ad.mul(result, r)).backward()
+        grads.append([t.grad for t in inputs])
+    for got, expected in zip(*grads):
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+    for t in inputs:
+        assert ad.grad_check(lambda _: ad.sum_all(ad.mul(fused(*inputs), r)), t) <= 1e-8
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (3, 4, 5), (2, 3, 4, 5), (4, 1, 5)],
+                         ids=["sentence", "batch", "two-batch-axes", "decoder-step"])
+def test_linear_is_bitwise_matmul_plus_add(shape):
+    rng = np.random.default_rng(55 + len(shape))
+    x = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=3), requires_grad=True)
+
+    def composed(x, w, b):  # the batch folded into rows, as one 2-D matmul
+        rows = ad.matmul(ad.reshape(x, (-1, 5)), w)
+        return ad.reshape(ad.add(rows, b), shape[:-1] + (3,))
+
+    _fused_against_composed(ad.linear, composed, [x, w, b], rng)
+
+
+def test_linear_checks_shapes():
+    x, w, b = np.ones((2, 4, 5)), np.ones((5, 3)), np.ones(3)
+    for args in [(x, w, np.ones(4)), (np.ones((2, 4, 6)), w, b), (x, np.ones((2, 5, 3)), b)]:
+        with pytest.raises(DimensionError, match="linear shapes do not agree"):
+            ad.linear(*(ad.Tensor(a) for a in args))
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (2, 3, 6), (4, 1, 8), (2, 2, 3, 4)])
+def test_layer_norm_is_bitwise_add_then_the_reference(shape):
+    rng = np.random.default_rng(57 + sum(shape))
+    x, sub = (ad.Tensor(rng.normal(loc=rng.normal(), size=shape), requires_grad=True)
+              for _ in range(2))
+    gain = ad.Tensor(rng.normal(size=shape[-1]), requires_grad=True)
+    bias = ad.Tensor(rng.normal(size=shape[-1]), requires_grad=True)
+
+    def composed(x, sub, gain, bias):
+        return reference_layer_norm(ad.add(x, sub), gain, bias)
+
+    _fused_against_composed(ad.layer_norm, composed, [x, sub, gain, bias], rng)
 
 
 def test_head_primitives_check_widths():
@@ -176,17 +234,6 @@ def test_reshape_adds_a_head_axis_and_sums_its_gradient():
     assert ad.grad_check(lambda t: ad.sum_all(ad.matmul(ad.reshape(t, (2, 1, 3, 4)), w)), x) < 1e-8
 
 
-def test_sum_axis_values_and_gradient():
-    rng = np.random.default_rng(47)
-    x = ad.Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
-    out = ad.sum_axis(x, -3)
-    assert out.shape == (2, 4, 5)
-    np.testing.assert_allclose(out.data, x.data[:, 0] + x.data[:, 1] + x.data[:, 2],
-                               rtol=0, atol=1e-15)
-    w = ad.Tensor(rng.normal(size=(2, 4, 5)))
-    assert ad.grad_check(lambda t: ad.sum_all(ad.mul(ad.sum_axis(t, -3), w)), x) < 1e-9
-
-
 def test_first_gradient_is_a_copy_of_a_view():
     # transpose and reshape hand their input a view of the output gradient;
     # the stored gradient must not alias it
@@ -198,9 +245,9 @@ def test_first_gradient_is_a_copy_of_a_view():
     t.accumulate(np.ones((3, 2)))
     assert source[0, 1] == 1.0
     np.testing.assert_array_equal(t.grad, np.arange(6.0).reshape(2, 3).T + 1.0)
-    # a read-only broadcast view (sum_axis's backward) is copied too
+    # a read-only broadcast view is copied too
     x = ad.Tensor(np.ones((2, 3)), requires_grad=True)
-    ad.sum_all(ad.sum_axis(x, 0)).backward()
+    x.accumulate(np.broadcast_to(np.ones(3), (2, 3)))
     x.accumulate(np.ones((2, 3)))
     np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
 
@@ -299,7 +346,7 @@ def test_embedding_rejects_a_negative_id():
 def test_layer_norm_rows_are_standardized():
     rng = np.random.default_rng(5)
     x = ad.Tensor(rng.normal(loc=3.0, scale=2.0, size=(6, 16)))
-    out = ad.layer_norm(x, ad.Tensor(np.ones(16)), ad.Tensor(np.zeros(16))).data
+    out = ad.layer_norm(x, np.zeros((6, 16)), ad.Tensor(np.ones(16)), ad.Tensor(np.zeros(16))).data
     np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-12)
     np.testing.assert_allclose(out.std(axis=1), 1.0, atol=1e-3)
 
@@ -313,7 +360,7 @@ def test_layer_norm_is_bitwise_the_np_var_formula():
         gain, bias = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
         inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-6)
         expected = gain * ((x - x.mean(axis=-1, keepdims=True)) * inv) + bias
-        out = ad.layer_norm(ad.Tensor(x), ad.Tensor(gain), ad.Tensor(bias)).data
+        out = ad.layer_norm(ad.Tensor(x), np.zeros(shape), ad.Tensor(gain), ad.Tensor(bias)).data
         np.testing.assert_array_equal(out, expected)
 
 

@@ -1,5 +1,8 @@
 """End-to-end command-line behaviour, exit codes, and manifest reruns."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +125,52 @@ class TestGoldenMasks:
         assert len(expected) == 5
         for name in expected:
             assert (out / name).read_bytes() == (GOLDEN_MASKS / family / name).read_bytes(), name
+
+
+class TestOneParserPerProcess:
+    ARGVS = [
+        ["masks", "--family", "binary", "--ucca", "fig.ug", "--out", "out"],
+        ["masks", "--family", "binary", "--bogus"],
+        ["--version"],
+    ]
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_replaced_command_function_runs(self, monkeypatch):
+        # the cached parser must not hold the function it was built with
+        cli.build_parser()
+        calls = []
+        monkeypatch.setattr(cli, "cmd_masks", lambda args, argv: calls.append(argv) or 0)
+        assert cli.main(self.ARGVS[0]) == 0
+        assert calls == [self.ARGVS[0]]
+
+    def test_calls_in_one_process_match_separate_processes(self, tmp_path, monkeypatch, capsys):
+        # each side runs in its own directory, so relative paths print alike
+        one, apart = tmp_path / "one", tmp_path / "apart"
+        for d in (one, apart):
+            d.mkdir()
+            (d / "fig.ug").write_text(TWO_SCENE_GRAPH)
+        monkeypatch.chdir(one)
+        in_process = []
+        for argv in self.ARGVS:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        separate = []
+        for argv in self.ARGVS:
+            proc = subprocess.run([sys.executable, "-m", "scenemt", *argv], cwd=apart, env=env,
+                                  capture_output=True, text=True)
+            separate.append((proc.returncode, proc.stdout, proc.stderr))
+        assert in_process == separate
+        assert [code for code, _, _ in in_process] == [0, 2, 0]
+        assert ((one / "out" / "mask_0000.mask").read_bytes()
+                == (apart / "out" / "mask_0000.mask").read_bytes())
 
 
 class TestHeadSpecFlag:

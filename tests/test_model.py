@@ -702,7 +702,8 @@ class TestTraining:
     def test_a_training_step_stays_within_its_tape_node_budget(self):
         # the criterion-07 model with SASA and SACrA heads, one batch-16 step
         # as train builds it; 430 nodes before attention became one node and
-        # the head projections one GEMM each
+        # the head projections one GEMM each, 304 before the bias adds went
+        # into `linear` and the residual adds into `layer_norm`
         sents, vocab, covers = copy_task(pairs=16, seed=13)
         pairs = [(vocab.encode(s), vocab.encode(s)) for s in sents]
         masks = [{"sasa": m, "sacra": m} for m in (binary_scene_mask(c).values for c in covers)]
@@ -712,7 +713,7 @@ class TestTraining:
         src, trg_in, gold, batch_masks = M.pad_batch(model, pairs, masks)
         total = ad.cross_entropy_smoothed(model.forward(src, trg_in, batch_masks), gold, 0.1)
         loss = total * (1.0 / int((gold >= 0).sum()))
-        assert len(ad.Tape.trace(loss).nodes) <= 310
+        assert len(ad.Tape.trace(loss).nodes) <= 270
 
     def test_padding_id_in_a_pair_is_rejected(self):
         pairs, vocab, _ = self.make_task()
@@ -792,7 +793,8 @@ class TestBatchedForward:
         batched = ad.cross_entropy_smoothed(model.forward(src, trg_in, masks), gold, 0.1)
         batched.backward()
         grads = {n: t.grad.copy() for n, t in model.params.items()}
-        model.zero_grads()
+        for t in model.params.values():
+            t.zero_grad()
         total = 0.0
         for (s, t), m in zip(self.pairs, self.masks):
             loss = ad.cross_entropy_smoothed(model.forward(s, [BOS] + t, m), t + [EOS], 0.1)
@@ -950,7 +952,8 @@ class TestStackedHeads:
         batched = ad.cross_entropy_smoothed(model.forward(src, trg_in, batch_masks), gold, 0.1)
         batched.backward()
         grads = {n: t.grad.copy() for n, t in model.params.items()}
-        model.zero_grads()
+        for t in model.params.values():
+            t.zero_grad()
         total = 0.0
         for (s, t), m in zip(pairs, masks):
             loss = ad.cross_entropy_smoothed(model.forward(s, [BOS] + t, m), t + [EOS], 0.1)
