@@ -37,11 +37,18 @@ SCENE_FAMILIES = ("binary", "scaled", "normal")
 # -- small file helpers -------------------------------------------------------
 
 
-def _read_text(path):
+def _read_file(path, reader):
+    """`reader(path)`, with an unreadable, non-UTF-8 or malformed file named in the error."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        return reader(path)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _read_text(path):
+    return _read_file(path, lambda p: Path(p).read_text(encoding="utf-8"))
 
 
 def _parse_file(path, parser):
@@ -199,12 +206,13 @@ def _spec_masks(specs, sentences, args):
     return [_record_masks(specs, r) for r in records]
 
 
-def _check_corpus(path, sentences, max_len, reserved=0):
-    """Refuse empty sentences and ones that, plus `reserved` positions, pass max_len."""
+def _check_corpus(path, sentences, max_len, reserved=0, limit="--max-len", allow_empty=False):
+    """Refuse sentences that, plus `reserved` positions, pass max_len (called `limit` in
+    the message), and empty ones unless `allow_empty`."""
     for lineno, tokens in enumerate(sentences, start=1):
         n = len(tokens)
-        if not 0 < n <= max_len - reserved:
-            what = f"{n} tokens need {n + reserved} positions, over --max-len {max_len}"
+        if n > max_len - reserved or not (n or allow_empty):
+            what = f"{n} tokens need {n + reserved} positions, over {limit} {max_len}"
             raise ParseError(f"{path}: line {lineno}: {what if n else 'empty sentence'}")
 
 
@@ -267,9 +275,9 @@ def _load_model_dir(path):
     if missing:
         raise ParseError(f"{cfg_path}: missing fields {', '.join(missing)}")
     model = model_mod.Model(ModelConfig(**fields), specs, seed=0)
-    model.load_state(autodiff.load_checkpoint(path / "checkpoint.ckpt"))
-    src_vocab = Vocab.load(path / "src.vocab")
-    trg_vocab = Vocab.load(path / "trg.vocab")
+    model.load_state(_read_file(path / "checkpoint.ckpt", autodiff.load_checkpoint))
+    src_vocab = _read_file(path / "src.vocab", Vocab.load)
+    trg_vocab = _read_file(path / "trg.vocab", Vocab.load)
     return model, src_vocab, trg_vocab
 
 
@@ -359,6 +367,9 @@ def cmd_translate(args, argv):
     out = _out_dir(args)
     model, src_vocab, trg_vocab = _load_model_dir(args.model)
     sentences = _read_sentences(args.src)
+    # an empty line maps to an empty hypothesis
+    _check_corpus(args.src, sentences, model.cfg.max_len, limit="the model's max_len",
+                  allow_empty=True)
     sentence_masks = _spec_masks(model.head_specs, sentences, args)
     cfg = _decode_cfg(args)
     hyps = []

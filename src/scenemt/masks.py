@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, DimensionError, ParseError
+from .errors import AlignmentError, ConfigError, DimensionError
 from .semgraph import scene_distance, ud_tree_distances
 
 FAMILIES = ("binary", "scaled", "normal", "pascal", "udiscal")
@@ -217,10 +217,6 @@ class MaskSpec:
             raise ConfigError(f"family {self.family!r} takes no C")
 
     @property
-    def sigma(self):
-        return SIGMA_PEAK_ONE if self.family == "normal" else 1.0
-
-    @property
     def needs_cover(self):
         return self.family in ("binary", "scaled", "normal")
 
@@ -264,33 +260,3 @@ def write_mask(mask):
     lines.extend(" ".join(row) for row in rows)
     return "\n".join(lines) + "\n"
 
-
-def read_mask(text):
-    """Parse mask-file text; a bad header, row or entry raises ParseError naming its line."""
-    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines or not lines[0][1].startswith("M "):
-        raise ParseError("mask file must start with an 'M <rows> <cols> <family>' header")
-    head_line, header = lines[0]
-    fields = header.split()
-    if len(fields) != 4:
-        raise ParseError("bad mask header", line=head_line)
-    if not (fields[1].isdecimal() and fields[2].isdecimal()):
-        raise ParseError(
-            f"mask dimensions must be non-negative integers, got {fields[1]!r} and {fields[2]!r}",
-            line=head_line,
-        )
-    rows, cols, family = int(fields[1]), int(fields[2]), fields[3]
-    if family not in FAMILIES:
-        raise ParseError(f"unknown mask family {family!r}", line=head_line)
-    if len(lines) - 1 != rows:
-        raise ParseError(f"expected {rows} data rows, found {len(lines) - 1}")
-    values = np.empty((rows, cols))
-    for r, (lineno, line) in enumerate(lines[1:]):
-        parts = line.split()
-        if len(parts) != cols:
-            raise ParseError(f"expected {cols} columns", line=lineno)
-        try:
-            values[r] = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ParseError(f"non-numeric mask entry: {exc}", line=lineno) from exc
-    return Mask(values, family)

@@ -739,22 +739,6 @@ def beam_search(score_fn, bos, eos, cfg):
                    bos, eos, cfg)
 
 
-def greedy_decode(score_fn, bos, eos, max_len):
-    """Argmax decoding; the reference implementation beam=1 must match."""
-    seq = (bos,)
-    total = 0.0
-    for _ in range(max_len):
-        logp = score_fn(seq)
-        tok = int(np.argmax(logp))
-        total += float(logp[tok])
-        seq = seq + (tok,)
-        if tok == eos:
-            return BeamResult(
-                list(seq[1:]), total / length_penalty(len(seq) - 1, 0.0), True
-            )
-    return BeamResult(list(seq[1:]), total, False)
-
-
 def log_softmax(x):
     """Log softmax along the last axis."""
     shifted = x - x.max(axis=-1, keepdims=True)
@@ -772,9 +756,12 @@ def translate(model, src_ids, masks=None, cfg=None, greedy=False):
     probabilities match a full-prefix `Model.decode` to within 1e-12.
     The decode length is capped at the model's max_len - 1, so the longest
     prefix (BOS plus the tokens so far) still fits the position table.
+    `greedy` is beam search at width 1 with no length penalty.
     """
     cfg = cfg or DecodeConfig()
     cfg = replace(cfg, max_len=min(cfg.max_len, model.cfg.max_len - 1))
+    if greedy:
+        cfg = replace(cfg, beam=1, alpha=0.0)
     with ad.no_grad():
         state = model.decoder_state(model.encode(src_ids, masks), masks, cached=True)
 
@@ -783,9 +770,6 @@ def translate(model, src_ids, masks=None, cfg=None, greedy=False):
             last = np.array([seq[-1:] for seq in prefixes])
             return log_softmax(model.decode(last, state=state).data[:, -1])
 
-        if greedy:
-            result = greedy_decode(lambda seq: step([seq], [0])[0], BOS, EOS, cfg.max_len)
-        else:
-            result = _search(step, BOS, EOS, cfg)
+        result = _search(step, BOS, EOS, cfg)
     tokens = [t for t in result.tokens if t != EOS]
     return replace(result, tokens=tokens)

@@ -8,7 +8,7 @@ Three line-oriented inputs are understood here:
 * scene-cover shortcut files: ``#L <n>`` then one ``S <P|S> main=<i-j|i>
   tokens=<i,j,...>`` line per scene, so tests and the CLI can supply covers
   without a parser;
-* CoNLL-U, of which only ID, FORM, HEAD and DEPREL are consumed.
+* CoNLL-U, of which only ID and HEAD are consumed.
 
 A *scene* is any graph node with an outgoing P or S edge; its token set is
 every terminal reachable from it, remote edges included (that is what lets a
@@ -151,7 +151,6 @@ class Scene:
     tokens: frozenset
     main_kind: str  # "P" or "S"
     main_tokens: frozenset
-    participants: tuple = ()
 
 
 @dataclass
@@ -167,9 +166,6 @@ class SceneCover:
                 raise StructuralError(f"unknown main-relation kind {s.main_kind!r}")
             if not s.main_tokens <= s.tokens:
                 raise StructuralError("main relation leaks outside its scene")
-            for p in s.participants:
-                if not p <= s.tokens:
-                    raise StructuralError("participant leaks outside its scene")
             covered |= s.tokens
         if covered != set(range(self.length)):
             raise StructuralError(
@@ -264,22 +260,13 @@ def extract_scenes(graph):
                 f"node {node!r} has {len(main_edges)} main-relation edges"
             )
         main = main_edges[0]
-        tokens = graph.tokens_under(node)
-        participants = tuple(
-            graph.tokens_under(e.child)
-            for e in graph.children(node)
-            if e.category == "A"
-        )
         scenes.append(
-            (tokens, main.category, graph.tokens_under(main.child), participants)
+            (graph.tokens_under(node), main.category, graph.tokens_under(main.child))
         )
 
     # deterministic order: by first token covered, then by main relation
     scenes.sort(key=lambda s: (min(s[0], default=-1), sorted(s[2])))
-    built = [
-        Scene(i, tokens, kind, main_tokens, participants)
-        for i, (tokens, kind, main_tokens, participants) in enumerate(scenes)
-    ]
+    built = [Scene(i, *scene) for i, scene in enumerate(scenes)]
     assigned = set()
     for s in built:
         assigned |= s.tokens
@@ -367,7 +354,7 @@ def parse_cover_file(text):
         if length is None:
             return
         scenes = [
-            Scene(i, tokens, kind, main, ())
+            Scene(i, tokens, kind, main)
             for i, (kind, main, tokens) in enumerate(raw_scenes)
         ]
         assigned = set()
@@ -389,6 +376,8 @@ def parse_cover_file(text):
                 length = int(fields[1])
             except (ValueError, IndexError) as exc:
                 raise ParseError("bad #L header", line=lineno) from exc
+            if length < 0:
+                raise ParseError(f"#L length must be non-negative, got {length}", line=lineno)
         elif fields[0] == "S":
             if length is None:
                 raise ParseError("scene line before #L header", line=lineno)
@@ -422,8 +411,6 @@ def parse_cover_file(text):
 class UdGraph:
     length: int
     heads: list  # 0-based parent per token, ROOT_HEAD for the root
-    deprels: list
-    forms: list = field(default_factory=list)
 
     def validate(self):
         roots = [i for i, h in enumerate(self.heads) if h == ROOT_HEAD]
@@ -453,17 +440,15 @@ def parse_conllu(text):
         nonlocal rows, lineno_of
         if not rows:
             return
-        heads, deprels, forms = [], [], []
-        for (tid, form, head, deprel), ln in zip(rows, lineno_of):
+        heads = []
+        for head, ln in zip(rows, lineno_of):
             if head == 0:
                 heads.append(ROOT_HEAD)
             elif 1 <= head <= len(rows):
                 heads.append(head - 1)
             else:
                 raise ParseError(f"head index {head} out of range", line=ln)
-            deprels.append(deprel)
-            forms.append(form)
-        g = UdGraph(len(rows), heads, deprels, forms)
+        g = UdGraph(len(rows), heads)
         g.validate()
         graphs.append(g)
         rows, lineno_of = [], []
@@ -485,27 +470,10 @@ def parse_conllu(text):
             head = int(cols[6])
         except ValueError as exc:
             raise ParseError(f"non-integer HEAD {cols[6]!r}", line=lineno) from exc
-        rows.append((int(tid), cols[1], head, cols[7]))
+        rows.append(head)
         lineno_of.append(lineno)
     flush()
     return graphs
-
-
-def serialize_conllu(graphs):
-    """Inverse of parse_conllu for the consumed columns."""
-    blocks = []
-    for g in graphs:
-        lines = []
-        for i in range(g.length):
-            form = g.forms[i] if g.forms else "_"
-            head = 0 if g.heads[i] == ROOT_HEAD else g.heads[i] + 1
-            lines.append(
-                "\t".join(
-                    [str(i + 1), form, "_", "_", "_", "_", str(head), g.deprels[i], "_", "_"]
-                )
-            )
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
 
 
 def ud_tree_distances(graph):

@@ -204,14 +204,11 @@ class Vocab:
         return len(self.itos)
 
     @classmethod
-    def from_corpus(cls, sentences, max_size=None):
+    def from_corpus(cls, sentences):
         counts = Counter()
         for tokens in sentences:
             counts.update(tokens)
-        ordered = sorted(counts, key=lambda t: (-counts[t], t))
-        if max_size is not None:
-            ordered = ordered[: max(0, max_size - len(RESERVED))]
-        return cls(ordered)
+        return cls(sorted(counts, key=lambda t: (-counts[t], t)))
 
     def encode(self, tokens):
         return [self.stoi.get(t, UNK) for t in tokens]

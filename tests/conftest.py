@@ -5,7 +5,9 @@ import pytest
 
 from scenemt import autodiff as ad
 from scenemt import semgraph
-from scenemt.errors import StructuralError
+from scenemt.errors import ParseError, StructuralError
+from scenemt.masks import FAMILIES, Mask
+from scenemt.model import BeamResult, length_penalty
 
 # "I saw the dog that barked ." -- two scenes sharing "dog"; "that" and "."
 # hang outside both scenes.
@@ -62,7 +64,7 @@ def random_tree_heads(n, rng):
 
 def random_ud_graph(n, rng):
     heads = random_tree_heads(n, rng)
-    return semgraph.UdGraph(n, heads, ["dep"] * n, [f"w{i}" for i in range(n)])
+    return semgraph.UdGraph(n, heads)
 
 
 def random_cover(rng, max_len=10, max_scenes=4):
@@ -80,6 +82,43 @@ def random_cover(rng, max_len=10, max_scenes=4):
     cover = semgraph.SceneCover(L, scenes, frozenset(range(L)) - assigned)
     cover.validate()
     return cover
+
+
+# -- mask files -----------------------------------------------------------------
+#
+# No command reads a mask file back; the tests read what `write_mask` and
+# `scenemt masks` write with this reader.
+
+
+def read_mask(text):
+    """Parse mask-file text; a bad header, row or entry raises ParseError naming its line."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("M "):
+        raise ParseError("mask file must start with an 'M <rows> <cols> <family>' header")
+    head_line, header = lines[0]
+    fields = header.split()
+    if len(fields) != 4:
+        raise ParseError("bad mask header", line=head_line)
+    if not (fields[1].isdecimal() and fields[2].isdecimal()):
+        raise ParseError(
+            f"mask dimensions must be non-negative integers, got {fields[1]!r} and {fields[2]!r}",
+            line=head_line,
+        )
+    rows, cols, family = int(fields[1]), int(fields[2]), fields[3]
+    if family not in FAMILIES:
+        raise ParseError(f"unknown mask family {family!r}", line=head_line)
+    if len(lines) - 1 != rows:
+        raise ParseError(f"expected {rows} data rows, found {len(lines) - 1}")
+    values = np.empty((rows, cols))
+    for r, (lineno, line) in enumerate(lines[1:]):
+        parts = line.split()
+        if len(parts) != cols:
+            raise ParseError(f"expected {cols} columns", line=lineno)
+        try:
+            values[r] = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ParseError(f"non-numeric mask entry: {exc}", line=lineno) from exc
+    return Mask(values, family)
 
 
 def floyd_warshall(n, edges):
@@ -184,10 +223,8 @@ def scan_extract_scenes(graph):
             raise StructuralError(
                 f"node {node!r} has {len(main_edges)} main-relation edges"
             )
-        participants = tuple(scan_tokens_under(graph, e.child)
-                             for e in scan_children(graph, node) if e.category == "A")
         scenes.append((scan_tokens_under(graph, node), main_edges[0].category,
-                       scan_tokens_under(graph, main_edges[0].child), participants))
+                       scan_tokens_under(graph, main_edges[0].child)))
     scenes.sort(key=lambda s: (min(s[0], default=-1), sorted(s[2])))
     built = [semgraph.Scene(i, *s) for i, s in enumerate(scenes)]
     assigned = frozenset().union(*(s.tokens for s in built))
@@ -220,3 +257,23 @@ def reference_layer_norm(x, gain, bias, eps=1e-6):
             x.accumulate(inv * (gx - m1 - xhat * m2))
 
     return ad._make(out_data, (x, gain, bias), backward)
+
+
+def greedy_decode(score_fn, bos, eos, max_len):
+    """Argmax decoding: the reference that beam search at width 1 must match.
+
+    `score_fn(prefix)` maps a token tuple (starting with `bos`) to a log
+    probability vector for the next token.
+    """
+    seq = (bos,)
+    total = 0.0
+    for _ in range(max_len):
+        logp = score_fn(seq)
+        tok = int(np.argmax(logp))
+        total += float(logp[tok])
+        seq = seq + (tok,)
+        if tok == eos:
+            return BeamResult(
+                list(seq[1:]), total / length_penalty(len(seq) - 1, 0.0), True
+            )
+    return BeamResult(list(seq[1:]), total, False)

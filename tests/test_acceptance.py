@@ -35,7 +35,6 @@ from scenemt.model import (
     aggregated_keys,
     attention,
     beam_search,
-    greedy_decode,
 )
 from scenemt.semgraph import (
     ROOT_HEAD,
@@ -47,7 +46,7 @@ from scenemt.semgraph import (
 from scenemt.textpipe import BOS, EOS
 from scenemt.toydata import copy_task, write_copy_task
 
-from conftest import random_cover, random_ud_graph
+from conftest import greedy_decode, random_cover, random_ud_graph
 
 
 @contextmanager

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from scenemt import cli
-from scenemt.masks import read_mask
 from scenemt.toydata import write_copy_task
 
-from conftest import TWO_SCENE_GRAPH
+from conftest import TWO_SCENE_GRAPH, read_mask
 
 
 COVER_TEXT = """\
@@ -87,6 +86,15 @@ class TestMasksCommand:
         err = capsys.readouterr().err
         assert "line 2" in err
         assert "bad.ug" in err
+
+    def test_negative_cover_length_exits_3_naming_file_and_line(self, tmp_path, capsys):
+        cov = tmp_path / "neg.cover"
+        cov.write_text("#L 3\nS P main=0 tokens=0,1,2\n#L -2\n")
+        code = run(["masks", "--family", "binary", "--cover", cov, "--out", tmp_path / "o"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "neg.cover: line 3: #L length must be non-negative" in err
+        assert "Traceback" not in err
 
     def test_missing_input_is_config_error(self, tmp_path):
         code = run(["masks", "--family", "binary", "--out", tmp_path / "o"])
@@ -295,6 +303,26 @@ class TestTranslateCommand:
         lines = (out / "hyps.txt").read_text().split("\n")
         assert lines[1] == ""
 
+    def test_over_long_source_exits_3_naming_file_and_line(self, tmp_path, capsys):
+        src, cov = tmp_path / "long.src", tmp_path / "long.cover"
+        src.write_text("a b c\n" + " ".join(["a"] * 300) + "\n")
+        cov.write_text("#L 3\nS P main=0 tokens=0,1,2\n"
+                       "#L 300\nS P main=0 tokens=" + ",".join(map(str, range(300))) + "\n")
+        assert run(["translate", "--model", STORED, "--src", src, "--cover", cov,
+                    "--out", tmp_path / "o"]) == 3
+        err = capsys.readouterr().err
+        assert "long.src: line 2: 300 tokens need 300 positions, over the model's max_len 16" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_source_exits_3_naming_file(self, tmp_path, capsys):
+        src = tmp_path / "bad.src"
+        src.write_bytes(b"a b \xff\n")
+        assert run(["translate", "--model", STORED, "--src", src,
+                    "--cover", STORED / "c.cover", "--out", tmp_path / "o"]) == 3
+        err = capsys.readouterr().err
+        assert f"cannot read {src}" in err
+        assert "Traceback" not in err
+
     def test_translation_rerun_is_byte_identical(self, trained_dir, tmp_path):
         root, model_dir = trained_dir
         out1 = tmp_path / "t1"
@@ -476,6 +504,23 @@ class TestModelDir:
         (bad / "model.cfg").write_text(text)
         assert self.translate(bad, root, tmp_path / "o") == 3
         assert "missing fields d_ff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["checkpoint.ckpt", "src.vocab"])
+    def test_missing_model_file_exits_3_naming_it(self, tmp_path, capsys, name):
+        model_dir = copy_model_dir(STORED, tmp_path / "m")
+        (model_dir / name).unlink()
+        assert self.translate(model_dir, STORED, tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert f"cannot read {model_dir / name}" in err
+        assert "Traceback" not in err
+
+    def test_corrupt_checkpoint_exits_3_naming_it(self, tmp_path, capsys):
+        model_dir = copy_model_dir(STORED, tmp_path / "m")
+        (model_dir / "checkpoint.ckpt").write_bytes(b"not a checkpoint\n")
+        assert self.translate(model_dir, STORED, tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert f"{model_dir / 'checkpoint.ckpt'}: not a checkpoint file" in err
+        assert "Traceback" not in err
 
     def test_per_head_checkpoint_is_refused(self, trained_dir, tmp_path, capsys):
         from scenemt import autodiff

@@ -19,7 +19,6 @@ from scenemt.masks import (
     f_norm,
     normal_scene_mask,
     pascal_mask,
-    read_mask,
     scaled_scene_mask,
     udiscal_mask,
     write_mask,
@@ -31,6 +30,7 @@ from conftest import (
     floyd_warshall,
     random_cover,
     random_ud_graph,
+    read_mask,
 )
 
 
@@ -196,20 +196,20 @@ class TestNormalMask:
 class TestPascalMask:
     def test_single_subword_parent_column_values(self):
         # token 1's parent is token 3; parent occupies subword 3 exactly
-        ud = UdGraph(5, [3, 3, 3, ROOT_HEAD, 3], ["dep"] * 5)
+        ud = UdGraph(5, [3, 3, 3, ROOT_HEAD, 3])
         m = pascal_mask(ud).values
         assert m[1, 3] == pytest.approx(0.398942, abs=1e-6)
         assert m[1, 4] == pytest.approx(0.241971, abs=1e-6)
 
     def test_one_token_sentence(self):
-        ud = UdGraph(1, [ROOT_HEAD], ["root"])
+        ud = UdGraph(1, [ROOT_HEAD])
         m = pascal_mask(ud).values
         assert m.shape == (1, 1)
         assert m[0, 0] == pytest.approx(0.398942, abs=1e-6)
 
     def test_fractional_midpoint_peak(self):
         # word 1 spans subwords 2..3 and is everyone's parent
-        ud = UdGraph(2, [1, ROOT_HEAD], ["dep", "root"])
+        ud = UdGraph(2, [1, ROOT_HEAD])
         align = Alignment(((0, 1), (2, 3)))
         m = pascal_mask(ud, align).values
         # rows of word 0 center on p=2.5
@@ -245,14 +245,14 @@ class TestPascalMask:
             assert (m.sum(axis=1) <= 1.0 + f_norm(0.0, 1.0)).all()
 
     def test_word_count_mismatch_rejected(self):
-        ud = UdGraph(3, [ROOT_HEAD, 0, 0], ["root", "dep", "dep"])
+        ud = UdGraph(3, [ROOT_HEAD, 0, 0])
         with pytest.raises(DimensionError):
             pascal_mask(ud, Alignment.from_counts([1, 1]))
 
 
 class TestUdiscalMask:
     def test_self_and_neighbour_values(self):
-        ud = UdGraph(2, [ROOT_HEAD, 0], ["root", "dep"])
+        ud = UdGraph(2, [ROOT_HEAD, 0])
         m = udiscal_mask(ud).values
         assert m[0, 0] == pytest.approx(0.398942, abs=1e-6)
         assert m[0, 1] == pytest.approx(0.241971, abs=1e-6)
@@ -334,7 +334,7 @@ class TestMaskSpec:
     def test_families_dispatch(self, two_scene_cover):
         assert MaskSpec("binary").build(cover=two_scene_cover).family == "binary"
         assert MaskSpec("scaled", 0.1).build(cover=two_scene_cover).family == "scaled"
-        ud = UdGraph(2, [ROOT_HEAD, 0], ["root", "dep"])
+        ud = UdGraph(2, [ROOT_HEAD, 0])
         assert MaskSpec("pascal").build(ud=ud).family == "pascal"
 
     def test_c_validation(self):
@@ -346,11 +346,6 @@ class TestMaskSpec:
             MaskSpec("binary", 0.5)
         with pytest.raises(ConfigError):
             MaskSpec("no-such-family")
-
-    def test_sigma_per_family(self):
-        assert MaskSpec("normal", 0.5).sigma == SIGMA_PEAK_ONE
-        assert MaskSpec("pascal").sigma == 1.0
-        assert MaskSpec("udiscal").sigma == 1.0
 
 
 class TestMaskFiles:

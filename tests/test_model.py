@@ -22,7 +22,6 @@ from scenemt.model import (
     aggregated_keys,
     attention,
     beam_search,
-    greedy_decode,
     lr_schedule,
     train,
     translate,
@@ -30,6 +29,8 @@ from scenemt.model import (
 from scenemt.textpipe import BOS, EOS, PAD
 from scenemt.toydata import copy_task
 from scenemt.masks import binary_scene_mask
+
+from conftest import greedy_decode
 
 
 # masks for a 3-token source that must be refused where they enter
@@ -1039,6 +1040,9 @@ class TestBeamSearch:
             b = beam_search(score, bos=0, eos=1, cfg=DecodeConfig(beam=1, alpha=0.6, max_len=max_len))
             g = greedy_decode(score, bos=0, eos=1, max_len=max_len)
             assert b.tokens == g.tokens
+            # with no length penalty, tokens, score and finished flag are bitwise equal
+            assert beam_search(score, bos=0, eos=1,
+                               cfg=DecodeConfig(beam=1, alpha=0.0, max_len=max_len)) == g
 
     def test_alpha_zero_is_pure_logprob(self):
         table = {

@@ -18,7 +18,6 @@ from scenemt.semgraph import (
     parse_ucca,
     scene_distance,
     sem_split,
-    serialize_conllu,
     ud_tree_distances,
 )
 
@@ -532,7 +531,6 @@ class TestConllu:
         g = graphs[0]
         assert g.length == 2
         assert g.heads == [ROOT_HEAD, 0]
-        assert g.deprels == ["root", "discourse"]
 
     def test_block_count(self):
         text = CONLLU_TWO_TOKENS + "\n" + CONLLU_TWO_TOKENS + "\n"
@@ -545,7 +543,7 @@ class TestConllu:
             "2\tel\t_\t_\t_\t_\t0\troot\t_\t_\n"
         )
         g = parse_conllu(text)[0]
-        assert g.length == 2 and g.forms == ["de", "el"]
+        assert g.length == 2 and g.heads == [1, ROOT_HEAD]
 
     def test_head_out_of_range_rejected(self):
         text = "1\tonly\t_\t_\t_\t_\t9\tdep\t_\t_\n"
@@ -559,16 +557,6 @@ class TestConllu:
         )
         with pytest.raises(StructuralError):
             parse_conllu(text)
-
-    def test_roundtrip_identity(self):
-        rng = np.random.default_rng(5)
-        graphs = [random_ud_graph(int(rng.integers(1, 9)), rng) for _ in range(10)]
-        reparsed = parse_conllu(serialize_conllu(graphs))
-        assert len(reparsed) == len(graphs)
-        for a, b in zip(graphs, reparsed):
-            assert (a.length, a.heads, a.deprels, a.forms) == (
-                b.length, b.heads, b.deprels, b.forms,
-            )
 
     def test_five_token_distances_match_floyd_warshall(self):
         text = (
@@ -612,7 +600,7 @@ class TestTreeDistances:
         for n in (2, 17, 48):
             # each token hangs off one of the two placed just before it
             heads = [ROOT_HEAD] + [max(0, i - 1 - int(rng.integers(2))) for i in range(1, n)]
-            g = semgraph.UdGraph(n, heads, ["dep"] * n)
+            g = semgraph.UdGraph(n, heads)
             g.validate()
             expected = floyd_warshall(n, tree_edges(heads))
             np.testing.assert_array_equal(ud_tree_distances(g), expected)
@@ -623,11 +611,11 @@ class TestTreeDistances:
             sizes = [int(k) for k in rng.integers(1, 12, size=int(rng.integers(2, 6)))]
             heads = forest_heads(sizes, rng)
             n = len(heads)
-            d = ud_tree_distances(semgraph.UdGraph(n, heads, ["dep"] * n))
+            d = ud_tree_distances(semgraph.UdGraph(n, heads))
             np.testing.assert_array_equal(d, floyd_warshall(n, tree_edges(heads)))
             assert np.isinf(d).sum() == n * n - sum(k * k for k in sizes)
 
     @pytest.mark.parametrize("heads", [[0], [1, 0], [ROOT_HEAD, 2, 3, 1]])
     def test_head_cycle_raises(self, heads):
         with pytest.raises(StructuralError, match="cycle"):
-            ud_tree_distances(semgraph.UdGraph(len(heads), heads, ["dep"] * len(heads)))
+            ud_tree_distances(semgraph.UdGraph(len(heads), heads))
