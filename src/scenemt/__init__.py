@@ -22,7 +22,6 @@ from .model import (  # noqa: F401
     TrainConfig,
     aggregated_keys,
     attention,
-    beam_search,
     train,
     translate,
 )
@@ -32,8 +31,6 @@ from .semgraph import (  # noqa: F401
     UdGraph,
     extract_scenes,
     parse_conllu,
-    parse_cover,
-    parse_ucca,
     scene_distance,
     sem_split,
 )

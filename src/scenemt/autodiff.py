@@ -66,9 +66,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         if self.data.size != 1:
             raise DimensionError("backward requires a scalar output")
@@ -279,8 +276,8 @@ def attention(q, k, v, bias=None, mask=None):
     The mask multiplies the post-softmax weights with no renormalization, so
     a row's weights sum to at most 1 (exactly 1 only under an all-ones mask
     row). One node: its forward is bitwise that of the composed matmul,
-    transpose, softmax_rows and mul, and its backward is the one of Dao et al.
-    2022 without the tiling. Shapes that do not agree raise DimensionError.
+    transpose, softmax and mul the tests keep, and its backward is the one of
+    Dao et al. 2022 without the tiling. Shapes that do not agree raise DimensionError.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     scale = 1.0 / math.sqrt(v.data.shape[-1])
@@ -312,17 +309,6 @@ def attention(q, k, v, bias=None, mask=None):
     return _make(out_data, (q, k, v), backward)
 
 
-def transpose(a):
-    """Swap the last two axes."""
-    a = _as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(_swap(g))
-
-    return _make(_swap(a.data), (a,), backward)
-
-
 def reshape(a, shape):
     a = _as_tensor(a)
 
@@ -342,20 +328,6 @@ def relu(a):
             a.accumulate(g * mask)
 
     return _make(a.data * mask, (a,), backward)
-
-
-def softmax_rows(x):
-    """Row-wise softmax with max subtraction; each output row sums to 1."""
-    x = _as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate(s * (g - (g * s).sum(axis=-1, keepdims=True)))
-
-    return _make(s, (x,), backward)
 
 
 def embedding(table, ids):
@@ -443,47 +415,6 @@ def cross_entropy_smoothed(logits, targets, smoothing):
             logits.accumulate(float(g) * (np.exp(logp) * real - q))
 
     return _make(loss, (logits,), backward)
-
-
-def sum_all(x):
-    x = _as_tensor(x)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate(np.full_like(x.data, float(g)))
-
-    return _make(x.data.sum(), (x,), backward)
-
-
-def grad_check(f, x, h=1e-5):
-    """Max relative error between analytic and central-difference gradients.
-
-    `f` must map the Tensor `x` to a scalar Tensor. The relative error per
-    coordinate is |numeric - analytic| / max(1, |analytic|).
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x.zero_grad()
-    out = f(x)
-    if out.data.size != 1:
-        raise DimensionError("grad_check requires a scalar-valued function")
-    out.backward()
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-
-    flat = x.data.reshape(-1)
-    numeric = np.zeros_like(flat)
-    with no_grad():
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + h
-            fp = float(f(x).data)
-            flat[i] = saved - h
-            fm = float(f(x).data)
-            flat[i] = saved
-            numeric[i] = (fp - fm) / (2.0 * h)
-    numeric = numeric.reshape(x.data.shape)
-    denom = np.maximum(1.0, np.abs(analytic))
-    return float((np.abs(numeric - analytic) / denom).max())
 
 
 # -- checkpoint serialization -------------------------------------------------

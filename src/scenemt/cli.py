@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import __version__, autodiff, masks as masks_mod, metrics, semgraph, model as model_mod
 from .errors import (
+    AlignmentError,
     ConfigError,
     DimensionError,
     NumericError,
@@ -31,79 +32,65 @@ from .model import DecodeConfig, HeadSpec, ModelConfig, TrainConfig
 from .semgraph import extract_scenes, parse_cover_file, parse_ucca_file, sem_split
 from .textpipe import Vocab
 
-SCENE_FAMILIES = ("binary", "scaled", "normal")
-
-
 # -- small file helpers -------------------------------------------------------
 
 
-def _read_file(path, reader):
-    """`reader(path)`, with an unreadable, non-UTF-8 or malformed file named in the error."""
+def _utf8(path):
+    return Path(path).read_text(encoding="utf-8")
+
+
+def _read_file(path, reader=_utf8):
+    """`reader(path)`, by default the file's text, with the path named once in any error.
+
+    An unreadable or non-UTF-8 file raises ParseError; a parse or structural
+    error in its content keeps its type.
+    """
     try:
         return reader(path)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
-def _read_text(path):
-    return _read_file(path, lambda p: Path(p).read_text(encoding="utf-8"))
-
-
-def _parse_file(path, parser):
-    """Parse file content, prefixing structural/parse errors with the path."""
-    try:
-        return parser(_read_text(path))
+        # an OSError's own text repeats the path, so only its strerror is kept
+        raise ParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
     except (ParseError, StructuralError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _read_sentences(path):
-    return [line.split() for line in _read_text(path).splitlines()]
+    return [line.split() for line in _read_file(path).splitlines()]
 
 
-def _read_alignments(path, n_expected):
-    aligns = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            counts = [int(x) for x in line.split()]
-        except ValueError as exc:
-            raise ParseError("alignment counts must be integers", line=lineno) from exc
-        aligns.append(Alignment.from_counts(counts))
-    if len(aligns) != n_expected:
-        raise DimensionError(
-            f"{len(aligns)} alignment lines for {n_expected} sentences"
-        )
-    return aligns
+def _read_alignments(path):
+    """An Alignment per non-blank line of subword counts per word."""
+    def parse(p):
+        aligns = []
+        for lineno, line in enumerate(_utf8(p).splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                aligns.append(Alignment.from_counts([int(x) for x in line.split()]))
+            except ValueError as exc:
+                raise ParseError("alignment counts must be integers", line=lineno) from exc
+            except AlignmentError as exc:
+                raise ParseError(str(exc), line=lineno) from exc
+        return aligns
+
+    return _read_file(path, parse)
 
 
-def _load_covers(args, n_expected=None):
+def _load_covers(args):
     if args.cover and args.ucca:
         raise ConfigError("--cover and --ucca are mutually exclusive")
     if args.cover:
-        covers = _parse_file(args.cover, parse_cover_file)
-    elif args.ucca:
-        covers = _parse_file(
-            args.ucca,
-            lambda text: [extract_scenes(g) for g in parse_ucca_file(text)],
-        )
-    else:
-        raise ConfigError("scene-mask families need --cover or --ucca input")
-    if n_expected is not None and len(covers) != n_expected:
-        raise DimensionError(f"{len(covers)} covers for {n_expected} sentences")
-    return covers
+        return _read_file(args.cover, lambda p: parse_cover_file(_utf8(p)))
+    if args.ucca:
+        return _read_file(args.ucca,
+                          lambda p: [extract_scenes(g) for g in parse_ucca_file(_utf8(p))])
+    raise ConfigError("scene-mask families need --cover or --ucca input")
 
 
-def _load_trees(args, n_expected=None):
+def _load_trees(args):
     if not args.conllu:
         raise ConfigError("dependency-mask families need --conllu input")
-    trees = _parse_file(args.conllu, semgraph.parse_conllu)
-    if n_expected is not None and len(trees) != n_expected:
-        raise DimensionError(f"{len(trees)} parses for {n_expected} sentences")
-    return trees
+    return _read_file(args.conllu, lambda p: semgraph.parse_conllu(_utf8(p)))
 
 
 def _write_manifest(out_dir, command, argv, args, results=()):
@@ -176,34 +163,55 @@ def _collect_specs(args):
 
 
 def _mask_records(mask_specs, args, sentences=None):
-    """One (cover, tree, alignment) record per input sentence, from the mask-input flags.
+    """One (cover, tree, alignment) record per input sentence, from the mask-input flags,
+    and the names of the files read.
 
     Only the inputs some MaskSpec needs are read, and a record holds None for
-    the others. Given `sentences`, the inputs must hold one record per
-    sentence and each scene cover must match its sentence's length.
+    the others. Every input read must hold one record per sentence: of
+    `sentences`, read from --src, if given, else of the first input. Each
+    scene cover must match its sentence's length.
     """
-    n = None if sentences is None else len(sentences)
-    covers = _load_covers(args, n) if any(m.needs_cover for m in mask_specs) else None
-    trees = _load_trees(args, n) if not all(m.needs_cover for m in mask_specs) else None
-    if n is None:
-        n = len(covers if covers is not None else trees)
-    for i, (cover, tokens) in enumerate(zip(covers or (), sentences or ())):
+    covers = _load_covers(args) if any(m.needs_cover for m in mask_specs) else None
+    trees = _load_trees(args) if not all(m.needs_cover for m in mask_specs) else None
+    aligns = _read_alignments(args.alignment) if args.alignment else None
+    inputs = [(path, items, what) for path, items, what in (
+        (args.cover or args.ucca, covers, "covers"),
+        (args.conllu, trees, "parses"),
+        (args.alignment, aligns, "alignment lines")) if items is not None]
+    if sentences is not None:
+        source, n = args.src, len(sentences)
+    else:
+        source, n = inputs[0][0], len(inputs[0][1])
+    for path, items, what in inputs:
+        if len(items) != n:
+            raise DimensionError(f"{path} holds {len(items)} {what} for the {n} sentences "
+                                 f"of {source}")
+    for i, (cover, tokens) in enumerate(zip(covers or (), sentences or ()), start=1):
         if cover.length != len(tokens):
-            raise DimensionError(f"cover {i} describes {cover.length} tokens, "
-                                 f"sentence has {len(tokens)}")
-    aligns = _read_alignments(args.alignment, n) if args.alignment else None
-    return list(zip(covers or [None] * n, trees or [None] * n, aligns or [None] * n))
+            raise DimensionError(f"{args.cover or args.ucca}, {args.src}: sentence {i}: cover "
+                                 f"describes {cover.length} tokens, sentence has {len(tokens)}")
+    files = ", ".join(path for path, _, _ in inputs)
+    return list(zip(covers or [None] * n, trees or [None] * n, aligns or [None] * n)), files
 
 
-def _record_masks(specs, record):
+def _build_mask(spec, record, where):
+    """`spec.build(*record)`, naming `where` (the input files and sentence) in a mismatch."""
+    try:
+        return spec.build(*record)
+    except DimensionError as exc:
+        raise DimensionError(f"{where}: {exc}") from None
+
+
+def _record_masks(specs, record, where):
     """{label: mask matrix} of each head spec for one (cover, tree, alignment) record."""
-    return {s.label: s.mask.build(*record).values for s in specs}
+    return {s.label: _build_mask(s.mask, record, where).values for s in specs}
 
 
 def _spec_masks(specs, sentences, args):
     """Each sentence's {label: mask matrix}, built once up front."""
-    records = _mask_records([s.mask for s in specs], args, sentences)
-    return [_record_masks(specs, r) for r in records]
+    records, files = _mask_records([s.mask for s in specs], args, sentences)
+    return [_record_masks(specs, r, f"{files}: sentence {i}")
+            for i, r in enumerate(records, start=1)]
 
 
 def _check_corpus(path, sentences, max_len, reserved=0, limit="--max-len", allow_empty=False):
@@ -260,7 +268,7 @@ def _load_model_dir(path):
     cfg_path = path / "model.cfg"
     known = {f.name for f in dataclasses.fields(ModelConfig)}
     fields, specs = {}, []
-    for lineno, line in enumerate(_read_text(cfg_path).splitlines(), start=1):
+    for lineno, line in enumerate(_read_file(cfg_path).splitlines(), start=1):
         key, _, value = line.partition("=")
         try:
             if key == "headspec":
@@ -287,9 +295,9 @@ def _load_model_dir(path):
 def cmd_masks(args, argv):
     spec = MaskSpec(args.family, args.C)
     out = _out_dir(args)
-    records = _mask_records([spec], args)
+    records, files = _mask_records([spec], args)
     for i, record in enumerate(records):
-        text = masks_mod.write_mask(spec.build(*record))
+        text = masks_mod.write_mask(_build_mask(spec, record, f"{files}: sentence {i + 1}"))
         (out / f"mask_{i:04d}.mask").write_text(text, encoding="utf-8")
     _write_manifest(out, "masks", argv, args, [("count", len(records))])
     print(f"wrote {len(records)} mask files to {out}")
@@ -391,16 +399,17 @@ def cmd_split(args, argv):
     """Scene-split pipeline: translate each scene, join with a period."""
     out = _out_dir(args)
     model, src_vocab, trg_vocab = _load_model_dir(args.model)
-    if any(s.mask.family not in SCENE_FAMILIES for s in model.head_specs):
+    if not all(s.mask.needs_cover for s in model.head_specs):
         raise ConfigError(
             "split pipeline supports scene-mask heads only; dependency masks "
             "would need parses of each fragment"
         )
     sentences = _read_sentences(args.src)
-    covers = _load_covers(args, len(sentences))
+    # any scene family reads the covers and checks them against the sentences
+    records, _ = _mask_records([MaskSpec("binary")], args, sentences)
     cfg = _decode_cfg(args)
     outputs = []
-    for tokens, cover in zip(sentences, covers):
+    for i, (tokens, (cover, _, _)) in enumerate(zip(sentences, records), start=1):
         if not tokens:
             outputs.append("")
             continue
@@ -408,7 +417,7 @@ def cmd_split(args, argv):
         translated = []
         for piece in pieces:
             record = (_single_scene_cover(len(piece)), None, None)
-            masks = _record_masks(model.head_specs, record)
+            masks = _record_masks(model.head_specs, record, f"{args.src}: sentence {i}")
             result = model_mod.translate(
                 model, src_vocab.encode(piece), masks, cfg, greedy=args.greedy
             )
@@ -427,8 +436,8 @@ def _single_scene_cover(n):
 
 def cmd_evaluate(args, argv):
     out = _out_dir(args)
-    hyps = _read_text(args.hyp).splitlines()
-    refs = _read_text(args.ref).splitlines()
+    hyps = _read_file(args.hyp).splitlines()
+    refs = _read_file(args.ref).splitlines()
     reports = []
     if args.metric in ("bleu", "both"):
         reports.append(metrics.bleu(hyps, refs, per_sentence=args.per_sentence))
@@ -449,8 +458,8 @@ def cmd_evaluate(args, argv):
 
 
 def cmd_compare(args, argv):
-    reports_a = metrics.parse_reports(_read_text(args.a))
-    reports_b = metrics.parse_reports(_read_text(args.b))
+    reports_a = metrics.parse_reports(_read_file(args.a))
+    reports_b = metrics.parse_reports(_read_file(args.b))
     if len(reports_a) != len(reports_b):
         raise DimensionError(
             f"{len(reports_a)} vs {len(reports_b)} score lines"
@@ -467,7 +476,7 @@ def cmd_compare(args, argv):
 
 def cmd_rerun(args, argv):
     command = stored_argv = None
-    for line in _read_text(args.manifest).splitlines():
+    for line in _read_file(args.manifest).splitlines():
         if line.startswith("command="):
             command = line.split("=", 1)[1]
         elif line.startswith("argv="):

@@ -5,10 +5,11 @@ geometric mean, brevity penalty exp(min(0, 1 - ref_len/hyp_len)), and no
 smoothing (any zero precision zeroes the score).
 
 chrF follows one pinned convention (implementations differ): character
-n-grams of order 1..6 over whitespace-stripped text plus word n-grams of
-order 1..word_n; per order, clipped-match precision and recall aggregated
-over the corpus; P and R are arithmetic means over orders that have n-grams
-on at least one side; F = (1+beta^2)PR / (beta^2 P + R), scaled to [0,100].
+n-grams of order 1..CHRF_CHAR_ORDER over whitespace-stripped text plus word
+n-grams of order 1..CHRF_WORD_ORDER; per order, clipped-match precision and
+recall aggregated over the corpus; P and R are arithmetic means over orders
+that have n-grams on at least one side; F = (1+beta^2)PR / (beta^2 P + R),
+scaled to [0,100].
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from dataclasses import dataclass
 from .errors import DimensionError, ParseError, UndefinedResultError
 
 BLEU_ORDER = 4
+CHRF_CHAR_ORDER = 6
+CHRF_WORD_ORDER = 1
 
 
 @dataclass
@@ -81,17 +84,17 @@ def bleu(hypotheses, references, per_sentence=False):
     return ScoreReport("bleu", score, len(hypotheses), sentence_scores)
 
 
-def chrf(hypotheses, references, beta=3.0, word_n=1, char_n=6, per_sentence=False):
+def chrf(hypotheses, references, beta=3.0, per_sentence=False):
     """chrF under the pinned convention documented in the module docstring."""
     _check_paired(hypotheses, references)
     sentence_scores = None
     if per_sentence:
         sentence_scores = [
-            chrf([h], [r], beta, word_n, char_n).score
+            chrf([h], [r], beta).score
             for h, r in zip(hypotheses, references)
         ]
-    orders = [("char", n) for n in range(1, char_n + 1)]
-    orders += [("word", n) for n in range(1, word_n + 1)]
+    orders = [("char", n) for n in range(1, CHRF_CHAR_ORDER + 1)]
+    orders += [("word", n) for n in range(1, CHRF_WORD_ORDER + 1)]
     matches = {o: 0 for o in orders}
     hyp_totals = {o: 0 for o in orders}
     ref_totals = {o: 0 for o in orders}

@@ -121,8 +121,6 @@ class TrainConfig:
     seed: int = 0
     warmup: int = 4000
     label_smoothing: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.98
     adam_eps: float = 1e-9
     eval_every: int = 0
     target_accuracy: float = None
@@ -506,6 +504,9 @@ def lr_schedule(step, warmup, d_model):
     return d_model ** -0.5 * min(step ** -0.5, step * warmup ** -1.5)
 
 
+ADAM_BETAS = (0.9, 0.98)  # first- and second-moment decay rates, as in Vaswani et al. 2017
+
+
 class Adam:
     """Adam in place over one flat buffer; each tensor's data and grad become views into it.
 
@@ -638,7 +639,7 @@ def train(pairs, model_cfg, train_cfg, head_specs=(), mask_provider=None):
 
     model = Model(model_cfg, head_specs, seed=train_cfg.seed)
     batch_rng = np.random.default_rng(train_cfg.seed + 1)
-    adam = Adam(model.params.values(), train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps)
+    adam = Adam(model.params.values(), *ADAM_BETAS, train_cfg.adam_eps)
 
     result = TrainResult(model, losses=[])
     for step in range(1, train_cfg.steps + 1):
@@ -727,16 +728,6 @@ def _search(step, bos, eos, cfg):
     score, seq = min(((lp / length_penalty(len(seq) - 1, cfg.alpha), seq) for lp, seq, _ in live),
                      key=best)
     return BeamResult(list(seq[1:]), score, False)
-
-
-def beam_search(score_fn, bos, eos, cfg):
-    """Beam search over a prefix scorer (see _search for the rules).
-
-    `score_fn(prefix)` maps a token tuple (starting with `bos`) to a log
-    probability vector for the next token.
-    """
-    return _search(lambda prefixes, _: np.array([score_fn(seq) for seq in prefixes]),
-                   bos, eos, cfg)
 
 
 def log_softmax(x):

@@ -173,14 +173,6 @@ class SceneCover:
             )
 
 
-def parse_ucca(text):
-    """Parse a single semantic graph from its file content."""
-    graphs = parse_ucca_file(text)
-    if len(graphs) != 1:
-        raise ParseError(f"expected exactly one graph, found {len(graphs)}")
-    return graphs[0]
-
-
 def parse_ucca_file(text):
     """Parse a multi-graph file; each graph ends at its ROOT line."""
     graphs = []
@@ -335,13 +327,6 @@ def sem_split(tokens, cover):
 
 
 # -- scene-cover shortcut files ------------------------------------------------
-
-
-def parse_cover(text):
-    covers = parse_cover_file(text)
-    if len(covers) != 1:
-        raise ParseError(f"expected exactly one cover, found {len(covers)}")
-    return covers[0]
 
 
 def parse_cover_file(text):

@@ -5,9 +5,9 @@ import pytest
 
 from scenemt import autodiff as ad
 from scenemt import semgraph
-from scenemt.errors import ParseError, StructuralError
+from scenemt.errors import DimensionError, ParseError, StructuralError
 from scenemt.masks import FAMILIES, Mask
-from scenemt.model import BeamResult, length_penalty
+from scenemt.model import BeamResult, _search, length_penalty
 
 # "I saw the dog that barked ." -- two scenes sharing "dog"; "that" and "."
 # hang outside both scenes.
@@ -40,7 +40,8 @@ I, SAW, THE, DOG, THAT, BARKED, DOT = range(7)
 
 @pytest.fixture
 def two_scene_graph():
-    return semgraph.parse_ucca(TWO_SCENE_GRAPH)
+    (graph,) = semgraph.parse_ucca_file(TWO_SCENE_GRAPH)
+    return graph
 
 
 @pytest.fixture
@@ -233,6 +234,78 @@ def scan_extract_scenes(graph):
     return cover
 
 
+# -- autodiff references ----------------------------------------------------------
+#
+# The small ops that `autodiff.attention` fuses, kept to compose the reference
+# it must match, and the finite-difference gradient oracle.
+
+
+def transpose(a):
+    """Swap the last two axes."""
+    a = ad._as_tensor(a)
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(ad._swap(g))
+
+    return ad._make(ad._swap(a.data), (a,), backward)
+
+
+def softmax_rows(x):
+    """Row-wise softmax with max subtraction; each output row sums to 1."""
+    x = ad._as_tensor(x)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate(s * (g - (g * s).sum(axis=-1, keepdims=True)))
+
+    return ad._make(s, (x,), backward)
+
+
+def sum_all(x):
+    x = ad._as_tensor(x)
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate(np.full_like(x.data, float(g)))
+
+    return ad._make(x.data.sum(), (x,), backward)
+
+
+def grad_check(f, x, h=1e-5):
+    """Max relative error between analytic and central-difference gradients.
+
+    `f` must map the Tensor `x` to a scalar Tensor. The relative error per
+    coordinate is |numeric - analytic| / max(1, |analytic|).
+    """
+    if h <= 0:
+        raise ValueError("h must be positive")
+    x.grad = None
+    out = f(x)
+    if out.data.size != 1:
+        raise DimensionError("grad_check requires a scalar-valued function")
+    out.backward()
+    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
+
+    flat = x.data.reshape(-1)
+    numeric = np.zeros_like(flat)
+    with ad.no_grad():
+        for i in range(flat.size):
+            saved = flat[i]
+            flat[i] = saved + h
+            fp = float(f(x).data)
+            flat[i] = saved - h
+            fm = float(f(x).data)
+            flat[i] = saved
+            numeric[i] = (fp - fm) / (2.0 * h)
+    numeric = numeric.reshape(x.data.shape)
+    denom = np.maximum(1.0, np.abs(analytic))
+    return float((np.abs(numeric - analytic) / denom).max())
+
+
 def reference_layer_norm(x, gain, bias, eps=1e-6):
     """The layer-norm node before the residual add was folded in, with np.mean.
 
@@ -257,6 +330,19 @@ def reference_layer_norm(x, gain, bias, eps=1e-6):
             x.accumulate(inv * (gx - m1 - xhat * m2))
 
     return ad._make(out_data, (x, gain, bias), backward)
+
+
+# -- search oracles ------------------------------------------------------------------
+
+
+def beam_search(score_fn, bos, eos, cfg):
+    """Beam search over a prefix scorer, by `model._search`'s rules.
+
+    `score_fn(prefix)` maps a token tuple (starting with `bos`) to a log
+    probability vector for the next token.
+    """
+    return _search(lambda prefixes, _: np.array([score_fn(seq) for seq in prefixes]),
+                   bos, eos, cfg)
 
 
 def greedy_decode(score_fn, bos, eos, max_len):

@@ -34,7 +34,6 @@ from scenemt.model import (
     TrainConfig,
     aggregated_keys,
     attention,
-    beam_search,
 )
 from scenemt.semgraph import (
     ROOT_HEAD,
@@ -44,9 +43,9 @@ from scenemt.semgraph import (
     ud_tree_distances,
 )
 from scenemt.textpipe import BOS, EOS
-from scenemt.toydata import copy_task, write_copy_task
 
-from conftest import greedy_decode, random_cover, random_ud_graph
+from conftest import beam_search, grad_check, greedy_decode, random_cover, random_ud_graph
+from toydata import copy_task, write_copy_task
 
 
 @contextmanager
@@ -138,7 +137,7 @@ def test_criterion_04_end_to_end_gradient_check():
 
         worst = 0.0
         for name in sorted(model.params):
-            err = ad.grad_check(loss, model.params[name], h=1e-5)
+            err = grad_check(loss, model.params[name], h=1e-5)
             assert err <= 1e-4, f"{name}: {err}"
             worst = max(worst, err)
         assert time.time() - start < 60.0

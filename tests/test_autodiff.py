@@ -6,7 +6,7 @@ import pytest
 from scenemt import autodiff as ad
 from scenemt.errors import DimensionError, ParseError
 
-from conftest import reference_layer_norm
+from conftest import grad_check, reference_layer_norm, softmax_rows, sum_all, transpose
 
 
 def test_matmul_identity():
@@ -31,8 +31,8 @@ def test_matmul_gradient_matches_finite_differences():
     a = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = ad.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
 
-    assert ad.grad_check(lambda t: ad.sum_all(ad.matmul(t, b)), a) < 1e-5
-    assert ad.grad_check(lambda t: ad.sum_all(ad.matmul(a, t)), b) < 1e-5
+    assert grad_check(lambda t: sum_all(ad.matmul(t, b)), a) < 1e-5
+    assert grad_check(lambda t: sum_all(ad.matmul(a, t)), b) < 1e-5
 
 
 def test_matmul_batched_matches_per_item_products():
@@ -55,12 +55,12 @@ def test_matmul_batched_gradients_match_finite_differences():
     r = ad.Tensor(rng.normal(size=(3, 4, 4)))
 
     def loss(_):
-        return ad.sum_all(ad.mul(ad.matmul(ad.matmul(a, w), c), r))
+        return sum_all(ad.mul(ad.matmul(ad.matmul(a, w), c), r))
 
-    assert ad.grad_check(loss, a) < 1e-6
-    assert ad.grad_check(loss, w) < 1e-6
-    w.zero_grad()
-    ad.sum_all(ad.matmul(a, w)).backward()
+    assert grad_check(loss, a) < 1e-6
+    assert grad_check(loss, w) < 1e-6
+    w.grad = None
+    sum_all(ad.matmul(a, w)).backward()
     np.testing.assert_allclose(w.grad, sum(x.T @ np.ones((4, 2)) for x in a.data), rtol=1e-12)
 
 
@@ -76,13 +76,13 @@ def _fused_against_loop(fused, loop, loop_grads, inputs, rng):
     the per-item loop and its hand-derived gradients; then grad_check on each input."""
     out = fused(*inputs)
     r = rng.normal(size=out.shape)
-    ad.sum_all(ad.mul(out, r)).backward()
+    sum_all(ad.mul(out, r)).backward()
     arrays = [t.data for t in inputs]
     np.testing.assert_allclose(out.data, loop(*arrays), rtol=0, atol=1e-12)
     for t, expected in zip(inputs, loop_grads(r, *arrays)):
         np.testing.assert_allclose(t.grad, expected, rtol=0, atol=1e-12)
     for t in inputs:
-        assert ad.grad_check(lambda _: ad.sum_all(ad.mul(fused(*inputs), r)), t) < 1e-6
+        assert grad_check(lambda _: sum_all(ad.mul(fused(*inputs), r)), t) < 1e-6
     return out.data
 
 
@@ -158,15 +158,15 @@ def _fused_against_composed(fused, composed, inputs, rng):
     grads = []
     for f in (fused, composed):
         for t in inputs:
-            t.zero_grad()
+            t.grad = None
         result = f(*inputs)
         np.testing.assert_array_equal(result.data, out.data)
-        ad.sum_all(ad.mul(result, r)).backward()
+        sum_all(ad.mul(result, r)).backward()
         grads.append([t.grad for t in inputs])
     for got, expected in zip(*grads):
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
     for t in inputs:
-        assert ad.grad_check(lambda _: ad.sum_all(ad.mul(fused(*inputs), r)), t) <= 1e-8
+        assert grad_check(lambda _: sum_all(ad.mul(fused(*inputs), r)), t) <= 1e-8
 
 
 @pytest.mark.parametrize("shape", [(4, 5), (3, 4, 5), (2, 3, 4, 5), (4, 1, 5)],
@@ -217,11 +217,11 @@ def test_head_primitives_check_widths():
 def test_transpose_swaps_last_two_axes():
     rng = np.random.default_rng(45)
     x = ad.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    out = ad.transpose(x)
+    out = transpose(x)
     assert out.shape == (2, 4, 3)
     np.testing.assert_array_equal(out.data[1], x.data[1].T)
     w = ad.Tensor(rng.normal(size=(2, 4, 3)))
-    assert ad.grad_check(lambda t: ad.sum_all(ad.mul(ad.transpose(t), w)), x) < 1e-9
+    assert grad_check(lambda t: sum_all(ad.mul(transpose(t), w)), x) < 1e-9
 
 
 def test_reshape_adds_a_head_axis_and_sums_its_gradient():
@@ -231,7 +231,7 @@ def test_reshape_adds_a_head_axis_and_sums_its_gradient():
     out = ad.matmul(ad.reshape(x, (2, 1, 3, 4)), w)
     assert out.shape == (2, 5, 3, 2)
     np.testing.assert_array_equal(out.data[1, 4], x.data[1] @ w.data[4])
-    assert ad.grad_check(lambda t: ad.sum_all(ad.matmul(ad.reshape(t, (2, 1, 3, 4)), w)), x) < 1e-8
+    assert grad_check(lambda t: sum_all(ad.matmul(ad.reshape(t, (2, 1, 3, 4)), w)), x) < 1e-8
 
 
 def test_first_gradient_is_a_copy_of_a_view():
@@ -261,19 +261,19 @@ def test_matmul_associative_on_well_conditioned_inputs():
 
 
 def test_softmax_equal_values():
-    out = ad.softmax_rows(ad.Tensor(np.full((1, 4), 3.7)))
+    out = softmax_rows(ad.Tensor(np.full((1, 4), 3.7)))
     np.testing.assert_allclose(out.data, 0.25)
 
 
 def test_softmax_closed_form():
-    out = ad.softmax_rows(ad.Tensor([[0.0, np.log(3.0)]]))
+    out = softmax_rows(ad.Tensor([[0.0, np.log(3.0)]]))
     np.testing.assert_allclose(out.data, [[0.25, 0.75]], atol=1e-15)
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(7)
     x = rng.normal(scale=20.0, size=(50, 9))
-    out = ad.softmax_rows(ad.Tensor(x)).data
+    out = softmax_rows(ad.Tensor(x)).data
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
     assert (out > 0).all() and (out < 1).all()
 
@@ -282,18 +282,18 @@ def test_softmax_gradient():
     rng = np.random.default_rng(3)
     x = ad.Tensor(rng.normal(size=(2, 5)), requires_grad=True)
     w = ad.Tensor(rng.normal(size=(5, 1)))
-    err = ad.grad_check(lambda t: ad.sum_all(ad.matmul(ad.softmax_rows(t), w)), x)
+    err = grad_check(lambda t: sum_all(ad.matmul(softmax_rows(t), w)), x)
     assert err < 1e-5
 
 
 def test_grad_check_sum_is_exact():
     x = ad.Tensor(np.linspace(-1, 1, 12).reshape(3, 4), requires_grad=True)
-    assert ad.grad_check(ad.sum_all, x, h=1e-4) < 1e-9
+    assert grad_check(sum_all, x, h=1e-4) < 1e-9
 
 
 def test_grad_check_quadratic():
     x = ad.Tensor(np.array([[1.0, -2.0, 0.5]]), requires_grad=True)
-    err = ad.grad_check(lambda t: ad.sum_all(ad.mul(t, t)), x, h=1e-4)
+    err = grad_check(lambda t: sum_all(ad.mul(t, t)), x, h=1e-4)
     assert err < 1e-7
     np.testing.assert_allclose(x.grad, 2 * x.data)
 
@@ -301,7 +301,7 @@ def test_grad_check_quadratic():
 def test_grad_check_rejects_non_scalar():
     x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(DimensionError):
-        ad.grad_check(lambda t: ad.mul(t, t), x)
+        grad_check(lambda t: ad.mul(t, t), x)
 
 
 def test_masked_attention_loss_gradient():
@@ -314,15 +314,15 @@ def test_masked_attention_loss_gradient():
     q = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 
     def loss(t):
-        s = ad.softmax_rows(ad.matmul(t, ad.transpose(k)) * (1 / np.sqrt(3)))
-        return ad.sum_all(ad.matmul(ad.mul(s, ad.Tensor(mask)), v))
+        s = softmax_rows(ad.matmul(t, transpose(k)) * (1 / np.sqrt(3)))
+        return sum_all(ad.matmul(ad.mul(s, ad.Tensor(mask)), v))
 
-    assert ad.grad_check(loss, q) <= 1e-4
+    assert grad_check(loss, q) <= 1e-4
 
 
 def test_embedding_gradient_accumulates_repeats():
     table = ad.Tensor(np.zeros((5, 3)), requires_grad=True)
-    out = ad.sum_all(ad.embedding(table, [1, 1, 4]))
+    out = sum_all(ad.embedding(table, [1, 1, 4]))
     out.backward()
     expected = np.zeros((5, 3))
     expected[1] = 2.0
@@ -385,13 +385,13 @@ def test_cross_entropy_skips_padding_rows():
     assert loss.item() == pytest.approx(expected.item(), rel=1e-14)
     np.testing.assert_array_equal(x.grad[targets < 0], 0.0)
     np.testing.assert_allclose(x.grad[targets >= 0], real.grad, rtol=1e-14)
-    assert ad.grad_check(lambda t: ad.cross_entropy_smoothed(t, targets, 0.1), x) < 1e-6
+    assert grad_check(lambda t: ad.cross_entropy_smoothed(t, targets, 0.1), x) < 1e-6
 
 
 def test_cross_entropy_gradient():
     rng = np.random.default_rng(9)
     x = ad.Tensor(rng.normal(size=(3, 6)), requires_grad=True)
-    err = ad.grad_check(lambda t: ad.cross_entropy_smoothed(t, [2, 0, 5], 0.1), x)
+    err = grad_check(lambda t: ad.cross_entropy_smoothed(t, [2, 0, 5], 0.1), x)
     assert err < 1e-6
 
 
@@ -404,7 +404,7 @@ def test_backward_requires_scalar():
 def test_tape_visits_shared_nodes_once():
     x = ad.Tensor(np.array([[2.0]]), requires_grad=True)
     y = ad.mul(x, x)           # reused twice below
-    z = ad.sum_all(ad.add(y, y))
+    z = sum_all(ad.add(y, y))
     z.backward()
     # d/dx of 2x^2 at x=2 is 8; double-counting y's backward would give 16
     np.testing.assert_allclose(x.grad, [[8.0]])

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from scenemt import cli
-from scenemt.toydata import write_copy_task
 
 from conftest import TWO_SCENE_GRAPH, read_mask
+from toydata import write_copy_task
 
 
 COVER_TEXT = """\
@@ -271,6 +271,68 @@ class TestStoredModel:
                     "--cover", STORED / "c.cover", "--max-len", "12", *flags,
                     "--out", tmp_path]) == 0
         assert (tmp_path / "hyps.txt").read_bytes() == (STORED / expected).read_bytes()
+
+
+def _input_files(tmp_path, **texts):
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = tmp_path / name.replace("_", ".")
+        paths[name].write_text(text)
+    return paths
+
+
+TREE_ONE_WORD = "1\thi\t_\t_\t_\t_\t0\troot\t_\t_\n\n"
+
+
+class TestMaskInputMismatches:
+    """Mask inputs that disagree exit 3 naming their files, and the sentence where there is one."""
+
+    @pytest.mark.parametrize("command,texts,flags,message", [
+        ("translate", dict(two_src="a b\nc d\n", one_cover="#L 2\nS P main=0 tokens=0,1\n"),
+         ["--src", "two_src", "--cover", "one_cover"],
+         "{one_cover} holds 1 covers for the 2 sentences of {two_src}"),
+        ("split", dict(two_src="a b\nc d\n", one_cover="#L 2\nS P main=0 tokens=0,1\n"),
+         ["--src", "two_src", "--cover", "one_cover"],
+         "{one_cover} holds 1 covers for the 2 sentences of {two_src}"),
+        ("translate", dict(one_src="a b\n", three_cover="#L 3\nS P main=0 tokens=0,1,2\n"),
+         ["--src", "one_src", "--cover", "three_cover"],
+         "{three_cover}, {one_src}: sentence 1: cover describes 3 tokens, sentence has 2"),
+        ("split", dict(one_src="a b\n", three_cover="#L 3\nS P main=0 tokens=0,1,2\n"),
+         ["--src", "one_src", "--cover", "three_cover"],
+         "{three_cover}, {one_src}: sentence 1: cover describes 3 tokens, sentence has 2"),
+        ("translate", dict(one_src="a b\n", one_cover="#L 2\nS P main=0 tokens=0,1\n",
+                           two_align="1 1\n1 1\n"),
+         ["--src", "one_src", "--cover", "one_cover", "--alignment", "two_align"],
+         "{two_align} holds 2 alignment lines for the 1 sentences of {one_src}"),
+        ("masks", dict(one_conllu=TREE_ONE_WORD, one_align="1 1\n"),
+         ["--family", "pascal", "--conllu", "one_conllu", "--alignment", "one_align"],
+         "{one_conllu}, {one_align}: sentence 1: alignment covers 2 words, tree has 1"),
+        ("masks", dict(three_cover="#L 3\nS P main=0 tokens=0,1,2\n", one_align="1 1\n"),
+         ["--family", "binary", "--cover", "three_cover", "--alignment", "one_align"],
+         "{three_cover}, {one_align}: sentence 1: mask covers 3 words, alignment has 2"),
+        ("masks", dict(one_cover="#L 2\nS P main=0 tokens=0,1\n", zero_align="1 0\n"),
+         ["--family", "binary", "--cover", "one_cover", "--alignment", "zero_align"],
+         "{zero_align}: line 1: every word needs at least one subword"),
+    ], ids=["covers-for-sentences", "split-covers-for-sentences", "cover-length",
+            "split-cover-length", "alignment-lines-for-sentences", "alignment-against-tree",
+            "mask-against-alignment", "zero-subword-count"])
+    def test_exits_3_naming_the_files(self, tmp_path, capsys, command, texts, flags, message):
+        paths = _input_files(tmp_path, **texts)
+        model = ["--model", STORED] if command != "masks" else []
+        argv = [command, *model, *[paths.get(f, f) for f in flags], "--out", tmp_path / "o"]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert message.format(**paths) in err
+        assert "Traceback" not in err
+
+    def test_a_missing_input_is_named_once(self, tmp_path, capsys):
+        missing = tmp_path / "nonexist.cover"
+        assert run(["masks", "--family", "binary", "--cover", missing,
+                    "--out", tmp_path / "o"]) == 3
+        err = capsys.readouterr().err
+        assert f"cannot read {missing}: " in err
+        assert err.count(str(missing)) == 1
+        assert "Traceback" not in err
 
 
 class TestTranslateCommand:

@@ -21,16 +21,22 @@ from scenemt.model import (
     TrainConfig,
     aggregated_keys,
     attention,
-    beam_search,
     lr_schedule,
     train,
     translate,
 )
 from scenemt.textpipe import BOS, EOS, PAD
-from scenemt.toydata import copy_task
 from scenemt.masks import binary_scene_mask
 
-from conftest import greedy_decode
+from conftest import (
+    beam_search,
+    grad_check,
+    greedy_decode,
+    softmax_rows,
+    sum_all,
+    transpose,
+)
+from toydata import copy_task
 
 
 # masks for a 3-token source that must be refused where they enter
@@ -181,8 +187,8 @@ class TestSacraAttention:
 
 def composed_attention(q, k, v, bias=None, mask=None):
     """Attention built from the small autodiff ops: the reference for the fused node."""
-    logits = ad.matmul(q, ad.transpose(k)) * (1.0 / math.sqrt(v.shape[-1]))
-    s = ad.softmax_rows(logits if bias is None else ad.add(logits, bias))
+    logits = ad.matmul(q, transpose(k)) * (1.0 / math.sqrt(v.shape[-1]))
+    s = softmax_rows(logits if bias is None else ad.add(logits, bias))
     return ad.matmul(s if mask is None else ad.mul(s, mask), v)
 
 
@@ -221,8 +227,8 @@ class TestFusedAttention:
                 out = fn(q, k, v, bias, mask)
                 r = np.random.default_rng(121).normal(size=out.shape)
                 for t in (q, k, v):
-                    t.zero_grad()
-                ad.sum_all(ad.mul(out, r)).backward()
+                    t.grad = None
+                sum_all(ad.mul(out, r)).backward()
                 grads.append((out.data, [t.grad.copy() for t in (q, k, v)]))
             (fused, fused_grads), (composed, composed_grads) = grads
             np.testing.assert_array_equal(fused, composed)
@@ -593,7 +599,7 @@ class TestEndToEndGradients:
             "dec.0.cross.wq", "dec.1.cross.wk",
             "dec.0.self.wo", "dec.1.ln3.b", "out.w", "out.b",
         ]:
-            err = ad.grad_check(loss, model.params[name], h=1e-5)
+            err = grad_check(loss, model.params[name], h=1e-5)
             assert err <= 1e-4, f"{name}: {err}"
 
 
@@ -795,7 +801,7 @@ class TestBatchedForward:
         batched.backward()
         grads = {n: t.grad.copy() for n, t in model.params.items()}
         for t in model.params.values():
-            t.zero_grad()
+            t.grad = None
         total = 0.0
         for (s, t), m in zip(self.pairs, self.masks):
             loss = ad.cross_entropy_smoothed(model.forward(s, [BOS] + t, m), t + [EOS], 0.1)
@@ -954,7 +960,7 @@ class TestStackedHeads:
         batched.backward()
         grads = {n: t.grad.copy() for n, t in model.params.items()}
         for t in model.params.values():
-            t.zero_grad()
+            t.grad = None
         total = 0.0
         for (s, t), m in zip(pairs, masks):
             loss = ad.cross_entropy_smoothed(model.forward(s, [BOS] + t, m), t + [EOS], 0.1)

@@ -14,8 +14,8 @@ from scenemt.semgraph import (
     SceneCover,
     extract_scenes,
     parse_conllu,
-    parse_cover,
-    parse_ucca,
+    parse_cover_file,
+    parse_ucca_file,
     scene_distance,
     sem_split,
     ud_tree_distances,
@@ -51,19 +51,19 @@ class TestParseUcca:
         assert remotes == [("s2", "tdog")]
 
     def test_single_token_graph(self):
-        g = parse_ucca("#L 1\nT t0 0 hi\nE root t0 P\nROOT root\n")
+        (g,) = parse_ucca_file("#L 1\nT t0 0 hi\nE root t0 P\nROOT root\n")
         assert g.length == 1
         assert g.terminals[0][2] == "hi"
 
     def test_undeclared_node_rejected(self):
         text = "#L 1\nT t0 0 hi\nE root ghost A\nE root t0 P\nROOT root\n"
         with pytest.raises(StructuralError, match="undeclared"):
-            parse_ucca(text)
+            parse_ucca_file(text)
 
     def test_duplicate_token_index_rejected(self):
         text = "#L 2\nT a 0 x\nT b 0 y\nE root a P\nE root b A\nROOT root\n"
         with pytest.raises(StructuralError):
-            parse_ucca(text)
+            parse_ucca_file(text)
 
     def test_cycle_rejected(self):
         text = (
@@ -71,7 +71,7 @@ class TestParseUcca:
             "E n1 n2 C\nE n2 n1 C\nE n1 t0 P\nE root n1 H\nROOT root\n"
         )
         with pytest.raises(StructuralError, match="cycle"):
-            parse_ucca(text)
+            parse_ucca_file(text)
 
     def test_remote_edge_escapes_cycle_check(self):
         # remote back-edges are legal; only the primary structure must be a DAG
@@ -80,16 +80,16 @@ class TestParseUcca:
             "E root n1 H\nE n1 t0 P\nE n1 n2 A\nE n2 t1 S\nE n2 n1 A R\n"
             "ROOT root\n"
         )
-        g = parse_ucca(text)
+        (g,) = parse_ucca_file(text)
         assert any(e.remote for e in g.edges)
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(ParseError, match="line 2"):
-            parse_ucca("#L 1\nT t0 zero hi\nROOT root\n")
+            parse_ucca_file("#L 1\nT t0 zero hi\nROOT root\n")
 
     def test_missing_root_rejected(self):
         with pytest.raises(ParseError):
-            parse_ucca("#L 1\nT t0 0 hi\n")
+            parse_ucca_file("#L 1\nT t0 0 hi\n")
 
 
 # -- scene extraction ----------------------------------------------------------
@@ -123,7 +123,8 @@ class TestExtractScenes:
             "E uparty tthe F\nE uparty tparty C\n"
             "ROOT root\n"
         )
-        cover = extract_scenes(parse_ucca(text))
+        (g,) = parse_ucca_file(text)
+        cover = extract_scenes(g)
         assert [sorted(s.tokens) for s in cover.scenes] == [
             [0, 1, 2], [0, 4, 5, 6],
         ]
@@ -143,7 +144,8 @@ class TestExtractScenes:
             "#L 3\nT t0 0 a\nT t1 1 is\nT t2 2 b\n"
             "E root s H\nE s t1 S\nE s t0 A\nE s t2 A\nROOT root\n"
         )
-        cover = extract_scenes(parse_ucca(text))
+        (g,) = parse_ucca_file(text)
+        cover = extract_scenes(g)
         assert len(cover.scenes) == 1
         assert cover.scenes[0].main_kind == "S"
         assert cover.unassigned == frozenset()
@@ -154,7 +156,7 @@ class TestExtractScenes:
             "E root s H\nE s t0 P\nE s t1 S\nROOT root\n"
         )
         with pytest.raises(StructuralError, match="main-relation"):
-            extract_scenes(parse_ucca(text))
+            extract_scenes(*parse_ucca_file(text))
 
     def test_three_scene_chain_against_reachability_oracle(self):
         # chain: s1 {0,1}, s2 {1,2,3}, s3 {3,4}; oracle = explicit DFS from
@@ -168,7 +170,7 @@ class TestExtractScenes:
             "E s3 t4 P\nE s3 t3 A R\n"
             "ROOT root\n"
         )
-        g = parse_ucca(text)
+        (g,) = parse_ucca_file(text)
         cover = extract_scenes(g)
 
         children = {}
@@ -272,7 +274,7 @@ class TestEdgeIndex:
     def test_children_and_tokens_under_match_edge_scans(self):
         rng = np.random.default_rng(30)
         for _ in range(60):
-            g = parse_ucca(random_ucca_text(rng, int(rng.integers(1, 48))))
+            (g,) = parse_ucca_file(random_ucca_text(rng, int(rng.integers(1, 48))))
             for n in sorted(g.nodes):
                 for remote in (True, False):
                     assert list(g.children(n, remote)) == scan_children(g, n, remote)
@@ -282,7 +284,7 @@ class TestEdgeIndex:
         rng = np.random.default_rng(31)
         cycles = scenes = 0
         for _ in range(200):
-            g = parse_ucca(random_ucca_text(rng, int(rng.integers(1, 64))))
+            (g,) = parse_ucca_file(random_ucca_text(rng, int(rng.integers(1, 64))))
             cycles += has_remote_cycle(g)
             try:
                 expected = scan_extract_scenes(g)
@@ -302,10 +304,10 @@ class TestEdgeIndex:
             acyclic = local_edges_acyclic(text)
             outcomes.add(acyclic)
             if acyclic:
-                parse_ucca(text)
+                parse_ucca_file(text)
             else:
                 with pytest.raises(StructuralError, match="cycle"):
-                    parse_ucca(text)
+                    parse_ucca_file(text)
         assert outcomes == {True, False}
 
 
@@ -495,23 +497,23 @@ class TestCoverFiles:
             "S P main=1 tokens=0,1,2,3\n"
             "S P main=5 tokens=3,5\n"
         )
-        cover = parse_cover(text)
+        (cover,) = parse_cover_file(text)
         assert [s.tokens for s in cover.scenes] == [
             s.tokens for s in two_scene_cover.scenes
         ]
         assert cover.unassigned == two_scene_cover.unassigned
 
     def test_main_span_syntax(self):
-        cover = parse_cover("#L 4\nS S main=1-2 tokens=0,1,2,3\n")
+        (cover,) = parse_cover_file("#L 4\nS S main=1-2 tokens=0,1,2,3\n")
         assert cover.scenes[0].main_tokens == frozenset({1, 2})
 
     def test_main_outside_tokens_rejected(self):
         with pytest.raises(StructuralError):
-            parse_cover("#L 3\nS P main=2 tokens=0,1\n")
+            parse_cover_file("#L 3\nS P main=2 tokens=0,1\n")
 
     def test_token_out_of_range_rejected(self):
         with pytest.raises(StructuralError):
-            parse_cover("#L 2\nS P main=0 tokens=0,5\n")
+            parse_cover_file("#L 2\nS P main=0 tokens=0,5\n")
 
 
 # -- dependency trees -----------------------------------------------------------

@@ -1,5 +1,10 @@
+"""The copy-task fixture generator in tests/toydata.py."""
+
+from pathlib import Path
+
 from scenemt.semgraph import parse_cover_file
-from scenemt.toydata import copy_task, split_cover, write_copy_task
+
+from toydata import copy_task, split_cover, write_copy_task
 
 
 def test_vocab_is_twelve():
@@ -36,3 +41,12 @@ def test_written_files_parse_back(tmp_path):
     assert len(parsed) == 8
     for orig, back in zip(covers, parsed):
         assert [s.tokens for s in orig.scenes] == [s.tokens for s in back.scenes]
+
+
+def test_writer_reproduces_the_stored_model_inputs(tmp_path):
+    # tests/data/model-df90e2b/README.md records the call that wrote them
+    stored = Path(__file__).parent / "data" / "model-df90e2b"
+    src, cov = tmp_path / "c.src", tmp_path / "c.cover"
+    write_copy_task(src, tmp_path / "c.trg", cov, pairs=12, seed=3)
+    assert src.read_bytes() == (stored / "c.src").read_bytes()
+    assert cov.read_bytes() == (stored / "c.cover").read_bytes()

@@ -1,4 +1,4 @@
-"""Deterministic toy corpora for desk-scale training runs.
+"""Deterministic toy corpora for desk-scale training runs; test fixtures, not part of scenemt.
 
 The copy task maps every sentence to itself over a small symbol alphabet.
 With the four reserved ids the total vocabulary is 4 + len(SYMBOLS) = 12,
@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .semgraph import Scene, SceneCover
-from .textpipe import RESERVED, Vocab
+from scenemt.semgraph import Scene, SceneCover
+from scenemt.textpipe import RESERVED, Vocab
 
 SYMBOLS = tuple("abcdefgh")
 
