@@ -169,7 +169,9 @@ def _mask_records(mask_specs, args, sentences=None):
     Only the inputs some MaskSpec needs are read, and a record holds None for
     the others. Every input read must hold one record per sentence: of
     `sentences`, read from --src, if given, else of the first input. Each
-    scene cover must match its sentence's length.
+    sentence must match its alignment's subword count if there is one, else
+    its scene cover's length; the masks check covers and trees against the
+    alignment.
     """
     covers = _load_covers(args) if any(m.needs_cover for m in mask_specs) else None
     trees = _load_trees(args) if not all(m.needs_cover for m in mask_specs) else None
@@ -186,10 +188,16 @@ def _mask_records(mask_specs, args, sentences=None):
         if len(items) != n:
             raise DimensionError(f"{path} holds {len(items)} {what} for the {n} sentences "
                                  f"of {source}")
-    for i, (cover, tokens) in enumerate(zip(covers or (), sentences or ()), start=1):
-        if cover.length != len(tokens):
-            raise DimensionError(f"{args.cover or args.ucca}, {args.src}: sentence {i}: cover "
-                                 f"describes {cover.length} tokens, sentence has {len(tokens)}")
+    if aligns is not None:  # a subword source
+        path, what = args.alignment, "alignment describes {} subwords"
+        sizes = [a.n_subwords for a in aligns]
+    else:
+        path, what = args.cover or args.ucca, "cover describes {} tokens"
+        sizes = [c.length for c in covers or ()]
+    for i, (size, tokens) in enumerate(zip(sizes, sentences or ()), start=1):
+        if size != len(tokens):
+            raise DimensionError(f"{path}, {args.src}: sentence {i}: {what.format(size)}, "
+                                 f"sentence has {len(tokens)}")
     files = ", ".join(path for path, _, _ in inputs)
     return list(zip(covers or [None] * n, trees or [None] * n, aligns or [None] * n)), files
 
@@ -491,9 +499,12 @@ def cmd_rerun(args, argv):
 # -- argument parsing ---------------------------------------------------------------
 
 
-def _add_mask_inputs(p):
+def _add_mask_inputs(p, scenes_only=False):
     p.add_argument("--ucca", help="semantic graph file (one or more graphs)")
     p.add_argument("--cover", help="scene-cover shortcut file")
+    if scenes_only:
+        p.set_defaults(conllu=None, alignment=None)
+        return
     p.add_argument("--conllu", help="CoNLL-U dependency parses")
     p.add_argument("--alignment", help="subword counts per word, one line per sentence")
 
@@ -566,7 +577,8 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--src", required=True)
     p.add_argument("--out", required=True)
-    _add_mask_inputs(p)
+    # each piece is masked as one scene of whole words, so only covers are read
+    _add_mask_inputs(p, scenes_only=True)
     _add_decode_flags(p)
 
     p = sub.add_parser("evaluate", help="score hypotheses against references")

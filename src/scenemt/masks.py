@@ -162,19 +162,14 @@ def pascal_mask(ud, align=None):
 
     Built directly at subword resolution: row t holds f_norm(j - p_t) where
     p_t is the (possibly fractional) midpoint of the parent word's subword
-    span; the root's parent is itself.
+    span; the root's parent is itself. Each word's row is computed once and
+    copied to its subwords.
     """
     align = _tree_alignment(ud, align)
-    n = align.n_subwords
-    positions = np.arange(n, dtype=np.float64)
-    values = np.empty((n, n))
-    for w in range(ud.length):
-        parent = ud.heads[w] if ud.heads[w] >= 0 else w
-        p = align.midpoint(parent)
-        row = f_norm(positions - p, 1.0)
-        start, end = align.ranges[w]
-        values[start:end + 1, :] = row
-    return Mask(values, "pascal")
+    parent_mid = np.array([align.midpoint(h if h >= 0 else w) for w, h in enumerate(ud.heads)])
+    positions = np.arange(align.n_subwords, dtype=np.float64)
+    word_rows = f_norm(positions - parent_mid[:, None], 1.0)
+    return Mask(word_rows[align.word_of()], "pascal")
 
 
 def udiscal_mask(ud, align=None):
@@ -247,16 +242,19 @@ class MaskSpec:
 
 
 def write_mask(mask):
-    # each distinct value is formatted once; values are told apart by their
-    # bits, so -0.0 and 0.0 keep their own text
+    # each distinct row is joined once and each distinct value formatted once;
+    # both are told apart by their bits, so -0.0 and 0.0 keep their own text
     values = np.ascontiguousarray(mask.values, dtype=np.float64)
-    _, first, where = np.unique(
-        values.view(np.int64), return_index=True, return_inverse=True
-    )
-    distinct = values.reshape(-1)[first].tolist()
-    text = np.array([f"{v:.9g}" for v in distinct], dtype=object)
-    rows = text[where.reshape(values.shape)].tolist()
+    keys = [row.tobytes() for row in values]
+    some_row = dict(zip(keys, range(len(keys))))  # distinct row bytes -> a row holding them
+    bits = values[list(some_row.values())].view(np.int64)
+    distinct = np.sort(bits, axis=None)
+    new = np.ones(distinct.size, dtype=bool)
+    np.not_equal(distinct[1:], distinct[:-1], out=new[1:])
+    distinct = distinct[new]
+    text = np.array([f"{v:.9g}" for v in distinct.view(np.float64).tolist()], dtype=object)
+    joined = [" ".join(row) for row in text[np.searchsorted(distinct, bits)].tolist()]
+    row_text = dict(zip(some_row, joined))
     lines = [f"M {mask.rows} {mask.cols} {mask.family}"]
-    lines.extend(" ".join(row) for row in rows)
+    lines.extend(row_text[key] for key in keys)
     return "\n".join(lines) + "\n"
-

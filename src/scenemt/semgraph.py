@@ -15,15 +15,16 @@ every terminal reachable from it, remote edges included (that is what lets a
 token belong to several scenes). Tokens reachable only outside all scenes are
 recorded as unassigned.
 
-Costs are linear in the graph: each graph indexes its out-edges once, and
-the scene and tree distance matrices are filled in array form with no array
-larger than L x L.
+Costs are linear in the graph: each line is split once, each graph indexes
+its out-edges and their child ids once, reachability walks child-id lists,
+the cycle check is Kahn's in-degree count, and the scene and tree distance
+matrices are filled in array form with no array larger than L x L.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +38,7 @@ MAIN_RELATION_CATEGORIES = ("P", "S")
 # -- semantic graphs ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UccaEdge:
+class UccaEdge(NamedTuple):
     parent: str
     child: str
     category: str
@@ -49,11 +49,11 @@ class UccaEdge:
 class UccaGraph:
     """A semantic graph with an index of each node's outgoing edges.
 
-    The index (`out_edges`: parent -> its edges in file order) and the
-    terminal map (`token_of`: terminal node -> token index) are built at
-    construction, so `children`, `reachable`, `tokens_under` and the cycle
-    check cost what they visit, not a scan of every edge. `edges` must not
-    change afterwards.
+    The indexes (`out_edges`: parent -> its edges in file order;
+    `child_ids`: parent -> their child ids) and the terminal map
+    (`token_of`: terminal node -> token index) are built at construction,
+    so `children`, `reachable` and `tokens_under` cost what they visit, not
+    a scan of every edge. `edges` must not change afterwards.
     """
 
     nodes: set
@@ -61,12 +61,14 @@ class UccaGraph:
     terminals: list  # ordered (node_id, token_index, surface)
     root: str
     out_edges: dict = field(init=False, repr=False, compare=False)
+    child_ids: dict = field(init=False, repr=False, compare=False)
     token_of: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.out_edges = {}
         for e in self.edges:
             self.out_edges.setdefault(e.parent, []).append(e)
+        self.child_ids = {p: [e.child for e in es] for p, es in self.out_edges.items()}
         self.token_of = {nid: tok for nid, tok, _ in self.terminals}
 
     @property
@@ -88,40 +90,35 @@ class UccaGraph:
             raise StructuralError(
                 "terminal token indices must cover 0..L-1 exactly"
             )
+        nodes = self.nodes
+        indegree = dict.fromkeys(nodes, 0)  # over non-remote edges
         for e in self.edges:
-            if e.parent not in self.nodes or e.child not in self.nodes:
+            if e.parent not in nodes or e.child not in nodes:
                 raise StructuralError(
                     f"edge {e.parent}->{e.child} references an undeclared node"
                 )
-        if self.root not in self.nodes:
+            if not e.remote:
+                indegree[e.child] += 1
+        if self.root not in nodes:
             raise StructuralError(f"root {self.root!r} is not a declared node")
 
-        # acyclicity over non-remote edges: an iterative depth-first walk
-        color = {}  # 1 = on stack, 2 = finished
-
-        def local_children(n):
-            return iter([e.child for e in self.children(n, remote=False)])
-
-        for start in sorted(self.nodes):
-            if start in color:
-                continue
-            color[start] = 1
-            stack = [(start, local_children(start))]
-            while stack:
-                node, it = stack[-1]
-                for c in it:
-                    if color.get(c) == 1:
-                        raise StructuralError("cycle detected over non-remote edges")
-                    if c not in color:
-                        color[c] = 1
-                        stack.append((c, local_children(c)))
-                        break
-                else:
-                    color[node] = 2
-                    stack.pop()
+        # acyclicity over non-remote edges by Kahn's algorithm: a node is freed
+        # once all its parents are, and only nodes on or under a cycle never are
+        out_edges = self.out_edges
+        ready = [n for n, d in indegree.items() if not d]
+        freed = 0
+        while ready:
+            freed += 1
+            for e in out_edges.get(ready.pop(), ()):
+                if not e.remote:
+                    indegree[e.child] -= 1
+                    if not indegree[e.child]:
+                        ready.append(e.child)
+        if freed != len(nodes):
+            raise StructuralError("cycle detected over non-remote edges")
 
         # every node reachable from the root (remote edges count)
-        missing = self.nodes - self.reachable(self.root)
+        missing = nodes - self.reachable(self.root)
         if missing:
             raise StructuralError(
                 f"nodes unreachable from root: {sorted(missing)}"
@@ -129,14 +126,14 @@ class UccaGraph:
 
     def reachable(self, start):
         """All nodes reachable from `start`, following every edge."""
-        out_edges = self.out_edges
+        child_ids = self.child_ids
         seen = {start}
-        queue = deque([start])
-        while queue:
-            for e in out_edges.get(queue.popleft(), ()):
-                if e.child not in seen:
-                    seen.add(e.child)
-                    queue.append(e.child)
+        stack = [start]
+        while stack:
+            for c in child_ids.get(stack.pop(), ()):
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
         return seen
 
     def tokens_under(self, node_id):
@@ -200,27 +197,29 @@ def parse_ucca_file(text):
         length, terminals, edges, root = None, [], [], None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("//"):
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
         tag = fields[0]
         try:
-            if tag == "#L":
-                if length is not None:
-                    raise ParseError("duplicate #L header", line=lineno)
-                length = int(fields[1])
-            elif tag == "T":
-                if len(fields) < 4:
-                    raise ParseError("terminal needs node, index, surface", line=lineno)
-                terminals.append((fields[1], int(fields[2]), " ".join(fields[3:])))
-            elif tag == "E":
+            # most lines are edges, so their tag is tested first
+            if tag == "E":
                 if len(fields) not in (4, 5):
                     raise ParseError("edge needs parent, child, category", line=lineno)
                 remote = len(fields) == 5
                 if remote and fields[4] != "R":
                     raise ParseError(f"unknown edge flag {fields[4]!r}", line=lineno)
                 edges.append(UccaEdge(fields[1], fields[2], fields[3], remote))
+            elif tag == "T":
+                if len(fields) < 4:
+                    raise ParseError("terminal needs node, index, surface", line=lineno)
+                terminals.append((fields[1], int(fields[2]), " ".join(fields[3:])))
+            elif tag.startswith("//"):
+                continue
+            elif tag == "#L":
+                if length is not None:
+                    raise ParseError("duplicate #L header", line=lineno)
+                length = int(fields[1])
             elif tag == "ROOT":
                 root = fields[1]
                 flush(lineno)

@@ -122,6 +122,23 @@ def read_mask(text):
     return Mask(values, family)
 
 
+def unique_write_mask(mask):
+    """Reference for `write_mask`: each distinct value formatted once, found by `np.unique`.
+
+    Values are told apart by their bits, so -0.0 and 0.0 keep their own text.
+    """
+    values = np.ascontiguousarray(mask.values, dtype=np.float64)
+    _, first, where = np.unique(
+        values.view(np.int64), return_index=True, return_inverse=True
+    )
+    distinct = values.reshape(-1)[first].tolist()
+    text = np.array([f"{v:.9g}" for v in distinct], dtype=object)
+    rows = text[where.reshape(values.shape)].tolist()
+    lines = [f"M {mask.rows} {mask.cols} {mask.family}"]
+    lines.extend(" ".join(row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def floyd_warshall(n, edges):
     """Independent all-pairs shortest paths for oracle comparisons."""
     dist = np.full((n, n), np.inf)

@@ -313,9 +313,14 @@ class TestMaskInputMismatches:
         ("masks", dict(one_cover="#L 2\nS P main=0 tokens=0,1\n", zero_align="1 0\n"),
          ["--family", "binary", "--cover", "one_cover", "--alignment", "zero_align"],
          "{zero_align}: line 1: every word needs at least one subword"),
+        ("translate", dict(three_src="a b c\n", one_cover="#L 2\nS P main=0 tokens=0,1\n",
+                           two_subwords="1 1\n"),
+         ["--src", "three_src", "--cover", "one_cover", "--alignment", "two_subwords"],
+         "{two_subwords}, {three_src}: sentence 1: alignment describes 2 subwords, "
+         "sentence has 3"),
     ], ids=["covers-for-sentences", "split-covers-for-sentences", "cover-length",
             "split-cover-length", "alignment-lines-for-sentences", "alignment-against-tree",
-            "mask-against-alignment", "zero-subword-count"])
+            "mask-against-alignment", "zero-subword-count", "subwords-against-source"])
     def test_exits_3_naming_the_files(self, tmp_path, capsys, command, texts, flags, message):
         paths = _input_files(tmp_path, **texts)
         model = ["--model", STORED] if command != "masks" else []
@@ -323,6 +328,26 @@ class TestMaskInputMismatches:
         assert run(argv) == 3
         err = capsys.readouterr().err
         assert message.format(**paths) in err
+        assert "Traceback" not in err
+
+    def test_a_subword_source_with_its_alignment_translates(self, tmp_path):
+        # two words, the second cut into two subwords: the source has three tokens
+        paths = _input_files(tmp_path, three_src="a b c\n",
+                             one_cover="#L 2\nS P main=0 tokens=0,1\n", one_align="1 2\n")
+        out = tmp_path / "o"
+        assert run(["translate", "--model", STORED, "--src", paths["three_src"],
+                    "--cover", paths["one_cover"], "--alignment", paths["one_align"],
+                    "--max-len", "8", "--out", out]) == 0
+        assert len((out / "hyps.txt").read_text().splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", ["--conllu", "--alignment"])
+    def test_split_takes_no_tree_or_alignment(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as info:
+            run(["split", "--model", STORED, "--src", STORED / "c.src", "--cover",
+                 STORED / "c.cover", flag, "x", "--out", tmp_path / "o"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} x" in err
         assert "Traceback" not in err
 
     def test_a_missing_input_is_named_once(self, tmp_path, capsys):

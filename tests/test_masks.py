@@ -31,6 +31,7 @@ from conftest import (
     random_cover,
     random_ud_graph,
     read_mask,
+    unique_write_mask,
 )
 
 
@@ -249,6 +250,30 @@ class TestPascalMask:
         with pytest.raises(DimensionError):
             pascal_mask(ud, Alignment.from_counts([1, 1]))
 
+    def test_is_bitwise_the_per_word_loop(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            ud = random_ud_graph(int(rng.integers(1, 40)), rng)
+            align = (None if rng.random() < 0.25 else
+                     Alignment.from_counts(rng.integers(1, 5, size=ud.length).tolist()))
+            got = pascal_mask(ud, align).values
+            expected = per_word_pascal_values(ud, align or Alignment.identity(ud.length))
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+
+def per_word_pascal_values(ud, align):
+    """Reference for `pascal_mask`: one `f_norm` call per word, copied to its subwords."""
+    n = align.n_subwords
+    positions = np.arange(n, dtype=np.float64)
+    values = np.empty((n, n))
+    for w in range(ud.length):
+        parent = ud.heads[w] if ud.heads[w] >= 0 else w
+        row = f_norm(positions - align.midpoint(parent), 1.0)
+        start, end = align.ranges[w]
+        values[start:end + 1, :] = row
+    return values
+
 
 class TestUdiscalMask:
     def test_self_and_neighbour_values(self):
@@ -423,3 +448,51 @@ class TestWriteMaskText:
         # signed zeros, NaN and infinities included
         mask = Mask(values, "scaled")
         assert write_mask(mask) == per_value_write_mask(mask)
+
+
+ZERO_ROW = [0.0, 0.0, 1.0]
+SIGNED_ZERO_ROW = [-0.0, 0.0, 1.0]  # equal to ZERO_ROW as floats, not as bytes
+
+
+class TestWriteMaskAgainstUnique:
+    """`write_mask` gives the text of the `np.unique` formatter it replaced, byte for byte."""
+
+    @pytest.mark.parametrize("values", [
+        [ZERO_ROW, SIGNED_ZERO_ROW, ZERO_ROW, SIGNED_ZERO_ROW],
+        [[-0.0, -0.0], [0.0, 0.0], [-0.0, 0.0], [-0.0, -0.0]],
+        [[np.inf, 0.5, -np.inf], [np.inf, 0.5, -np.inf], [0.5, np.inf, 0.0]],
+        [[np.nan, -np.nan, np.inf], [np.nan, -np.nan, np.inf]],
+        np.repeat([[0.1, 0.2, 0.30000000000000004], [1e-300, 5e-324, -1e300]], 3, axis=0),
+        np.zeros((0, 0)),
+        np.zeros((3, 0)),
+        np.zeros((0, 4)),
+        [[0.25, -0.0, 7.0, 0.25, 1.0]],
+        np.arange(15.0).reshape(3, 5) / 7.0,
+        np.tile([[1.0], [0.0], [-0.0], [1.0], [np.inf]], (1, 3)),
+    ], ids=["signed-zero-rows", "signed-zeros", "inf", "nan", "repeated-rows", "0x0", "3x0",
+            "0x4", "1x5", "3x5", "5x3"])
+    def test_crafted_masks(self, values):
+        mask = Mask(np.asarray(values, dtype=np.float64), "normal")
+        assert write_mask(mask) == unique_write_mask(mask)
+
+    def test_rows_that_differ_only_in_a_zero_sign_keep_their_own_text(self):
+        text = write_mask(Mask(np.array([ZERO_ROW, SIGNED_ZERO_ROW, ZERO_ROW]), "binary"))
+        assert text.splitlines()[1:] == ["0 0 1", "-0 0 1", "0 0 1"]
+
+    def test_every_family_at_subword_resolution(self, two_scene_cover):
+        rng = np.random.default_rng(22)
+        ud = random_ud_graph(7, rng)
+        align = Alignment.from_counts([1, 3, 1, 2, 1, 1, 2])
+        for spec in (MaskSpec("binary"), MaskSpec("scaled", 0.1), MaskSpec("normal", 0.5),
+                     MaskSpec("pascal"), MaskSpec("udiscal")):
+            mask = spec.build(cover=two_scene_cover, ud=ud, align=align)
+            assert write_mask(mask) == unique_write_mask(mask), spec.family
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 6), st.data())
+    def test_masks_with_repeated_rows_and_values(self, n_rows, n_cols, data):
+        pool = [0.0, -0.0, 1.0, 0.1, np.inf, -np.inf, np.nan, 5e-324]
+        distinct = data.draw(arrays(np.float64, (3, n_cols), elements=st.sampled_from(pool)))
+        picks = data.draw(st.lists(st.integers(0, 2), min_size=n_rows, max_size=n_rows))
+        mask = Mask(distinct[picks], "scaled")
+        assert write_mask(mask) == unique_write_mask(mask)

@@ -1,12 +1,17 @@
 """Graph ingestion, scene extraction, distances, and splitting."""
 
+import contextlib
+import io
 import re
+import shutil
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from scenemt import semgraph
+from scenemt import cli, semgraph
+from scenemt.masks import binary_scene_mask, write_mask
 from scenemt.errors import DimensionError, ParseError, StructuralError
 from scenemt.semgraph import (
     ROOT_HEAD,
@@ -309,6 +314,91 @@ class TestEdgeIndex:
                 with pytest.raises(StructuralError, match="cycle"):
                     parse_ucca_file(text)
         assert outcomes == {True, False}
+
+
+def mutate_ug_lines(lines, edits):
+    """Apply (kind, i, j) edits to `.ug` lines; i and j pick lines modulo their count."""
+    lines = list(lines)
+    for kind, i, j in edits:
+        if not lines:
+            break
+        i, j = i % len(lines), j % len(lines)
+        fields = lines[i].split()
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(j, lines[i])
+        elif kind == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "non-integer":  # in a header or terminal index, else in any field
+            at = {"#L": 1, "T": 2}.get(fields[0], j % len(fields))
+            fields[at % len(fields)] = ("1.5", "x", "", "0x1")[j % 4]
+            lines[i] = " ".join(fields)
+        elif kind == "bad-flag" and fields[0] == "E":
+            lines[i] = " ".join(fields[:4] + [("r", "RR", "remote", "0")[j % 4]])
+        elif kind == "back-edge" and fields[0] == "E":  # child -> parent, not remote
+            lines.insert(i + 1, f"E {fields[2]} {fields[1]} A")
+    return lines
+
+
+def ug_lines_well_formed(text):
+    """Whether every line of `.ug` text is a well-formed record, judged line by line."""
+    def integer(field):
+        try:
+            int(field)
+        except ValueError:
+            return False
+        return True
+
+    for line in text.splitlines():
+        f = line.split()
+        if f and not f[0].startswith("//") and not {
+            "E": len(f) == 4 or len(f) == 5 and f[-1] == "R",
+            "T": len(f) >= 4 and integer(f[2]),
+            "#L": len(f) >= 2 and integer(f[1]),
+            "ROOT": len(f) >= 2,
+        }.get(f[0], False):
+            return False
+    return True
+
+
+UG_EDITS = st.lists(st.tuples(
+    st.sampled_from(["drop", "duplicate", "swap", "non-integer", "bad-flag", "back-edge"]),
+    st.integers(0, 10**6), st.integers(0, 10**6)), max_size=4)
+
+
+class TestUgFuzz:
+    """Mutated `.ug` files through `scenemt masks`: a clean exit, and the reference covers."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 12), min_size=1,
+                                                           max_size=3), edits=UG_EDITS)
+    def test_mutated_graphs_exit_cleanly(self, tmp_path, seed, sizes, edits):
+        rng = np.random.default_rng(seed)
+        text = "".join(random_ucca_text(rng, n) for n in sizes)
+        text = "\n".join(mutate_ug_lines(text.splitlines(), edits)) + "\n"
+        ug, out = tmp_path / "fuzz.ug", tmp_path / "out"
+        ug.write_text(text, encoding="utf-8")
+        shutil.rmtree(out, ignore_errors=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["masks", "--family", "binary", "--ucca", str(ug),
+                             "--out", str(out)])
+        assert code in (0, 2, 3, 4) and "Traceback" not in err.getvalue()
+        if not ug_lines_well_formed(text):
+            assert code == 3
+        try:
+            covers = [scan_extract_scenes(g) for g in parse_ucca_file(text)]
+        except (ParseError, StructuralError) as exc:
+            assert code == 3 and str(exc) in err.getvalue()
+            return
+        assert code == 0
+        for i, (g, cover) in enumerate(zip(parse_ucca_file(text), covers)):
+            assert extract_scenes(g) == cover
+            written = (out / f"mask_{i:04d}.mask").read_text(encoding="utf-8")
+            assert written == write_mask(binary_scene_mask(cover))
+        assert len(list(out.glob("*.mask"))) == len(covers)
 
 
 # -- scene distances -----------------------------------------------------------
