@@ -17,6 +17,8 @@ import shlex
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, autodiff, masks as masks_mod, metrics, semgraph, model as model_mod
 from .errors import (
     AlignmentError,
@@ -210,15 +212,10 @@ def _build_mask(spec, record, where):
         raise DimensionError(f"{where}: {exc}") from None
 
 
-def _record_masks(specs, record, where):
-    """{label: mask matrix} of each head spec for one (cover, tree, alignment) record."""
-    return {s.label: _build_mask(s.mask, record, where).values for s in specs}
-
-
 def _spec_masks(specs, sentences, args):
     """Each sentence's {label: mask matrix}, built once up front."""
     records, files = _mask_records([s.mask for s in specs], args, sentences)
-    return [_record_masks(specs, r, f"{files}: sentence {i}")
+    return [{s.label: _build_mask(s.mask, r, f"{files}: sentence {i}").values for s in specs}
             for i, r in enumerate(records, start=1)]
 
 
@@ -290,7 +287,11 @@ def _load_model_dir(path):
     missing = sorted(known - set(fields))
     if missing:
         raise ParseError(f"{cfg_path}: missing fields {', '.join(missing)}")
-    model = model_mod.Model(ModelConfig(**fields), specs, seed=0)
+    try:
+        cfg = ModelConfig(**fields)
+    except ConfigError as exc:
+        raise ParseError(f"{cfg_path}: {exc}") from None
+    model = model_mod.Model(cfg, specs, seed=0)
     model.load_state(_read_file(path / "checkpoint.ckpt", autodiff.load_checkpoint))
     src_vocab = _read_file(path / "src.vocab", Vocab.load)
     trg_vocab = _read_file(path / "trg.vocab", Vocab.load)
@@ -372,74 +373,62 @@ def cmd_train(args, argv):
 
 
 def _decode_cfg(args):
-    return DecodeConfig(
-        beam=args.beam,
-        alpha=args.alpha,
-        max_len=args.max_len,
-    )
+    cfg = DecodeConfig(beam=args.beam, alpha=args.alpha, max_len=args.max_len)
+    # argmax decoding is beam search at width 1 with no length penalty
+    return dataclasses.replace(cfg, beam=1, alpha=0.0) if args.greedy else cfg
+
+
+def _decode(args, argv, command, line_pieces):
+    """Decode each --src line with the --model directory; write hyps.txt and the manifest.
+
+    `line_pieces(head_specs, sentences)` gives each line's pieces as
+    (tokens, {label: mask}) pairs. Every piece must fit the model's max_len,
+    else the error names --src and the line. Each piece is decoded on its
+    own, an empty one to an empty hypothesis, and a line's hypotheses are
+    joined with " . ".
+    """
+    out = _out_dir(args)
+    model, src_vocab, trg_vocab = _load_model_dir(args.model)
+    lines = line_pieces(model.head_specs, _read_sentences(args.src))
+    _check_corpus(args.src, [max((t for t, _ in pieces), key=len) for pieces in lines],
+                  model.cfg.max_len, limit="the model's max_len", allow_empty=True)
+    cfg = _decode_cfg(args)
+
+    def hypothesis(tokens, masks):
+        if not tokens:
+            return ""
+        result = model_mod.translate(model, src_vocab.encode(tokens), masks, cfg)
+        return " ".join(trg_vocab.decode(result.tokens))
+
+    hyps = [" . ".join(hypothesis(*piece) for piece in pieces) for pieces in lines]
+    (out / "hyps.txt").write_text("".join(h + "\n" for h in hyps), encoding="utf-8")
+    _write_manifest(out, command, argv, args, [("count", len(hyps))])
+    verb = "translated" if command == "translate" else "split-translated"
+    print(f"{verb} {len(hyps)} sentences to {out / 'hyps.txt'}")
+    return 0
 
 
 def cmd_translate(args, argv):
-    out = _out_dir(args)
-    model, src_vocab, trg_vocab = _load_model_dir(args.model)
-    sentences = _read_sentences(args.src)
-    # an empty line maps to an empty hypothesis
-    _check_corpus(args.src, sentences, model.cfg.max_len, limit="the model's max_len",
-                  allow_empty=True)
-    sentence_masks = _spec_masks(model.head_specs, sentences, args)
-    cfg = _decode_cfg(args)
-    hyps = []
-    for tokens, masks in zip(sentences, sentence_masks):
-        if not tokens:
-            hyps.append("")
-            continue
-        result = model_mod.translate(
-            model, src_vocab.encode(tokens), masks, cfg, greedy=args.greedy
-        )
-        hyps.append(" ".join(trg_vocab.decode(result.tokens)))
-    (out / "hyps.txt").write_text("".join(h + "\n" for h in hyps), encoding="utf-8")
-    _write_manifest(out, "translate", argv, args, [("count", len(hyps))])
-    print(f"translated {len(hyps)} sentences to {out / 'hyps.txt'}")
-    return 0
+    def line_pieces(specs, sentences):
+        return [[piece] for piece in zip(sentences, _spec_masks(specs, sentences, args))]
+
+    return _decode(args, argv, "translate", line_pieces)
 
 
 def cmd_split(args, argv):
     """Scene-split pipeline: translate each scene, join with a period."""
-    out = _out_dir(args)
-    model, src_vocab, trg_vocab = _load_model_dir(args.model)
-    if not all(s.mask.needs_cover for s in model.head_specs):
-        raise ConfigError(
-            "split pipeline supports scene-mask heads only; dependency masks "
-            "would need parses of each fragment"
-        )
-    sentences = _read_sentences(args.src)
-    # any scene family reads the covers and checks them against the sentences
-    records, _ = _mask_records([MaskSpec("binary")], args, sentences)
-    cfg = _decode_cfg(args)
-    outputs = []
-    for i, (tokens, (cover, _, _)) in enumerate(zip(sentences, records), start=1):
-        if not tokens:
-            outputs.append("")
-            continue
-        pieces = sem_split(tokens, cover)
-        translated = []
-        for piece in pieces:
-            record = (_single_scene_cover(len(piece)), None, None)
-            masks = _record_masks(model.head_specs, record, f"{args.src}: sentence {i}")
-            result = model_mod.translate(
-                model, src_vocab.encode(piece), masks, cfg, greedy=args.greedy
-            )
-            translated.append(" ".join(trg_vocab.decode(result.tokens)))
-        outputs.append(" . ".join(translated))
-    (out / "hyps.txt").write_text("".join(h + "\n" for h in outputs), encoding="utf-8")
-    _write_manifest(out, "split", argv, args, [("count", len(outputs))])
-    print(f"split-translated {len(outputs)} sentences to {out / 'hyps.txt'}")
-    return 0
+    def line_pieces(specs, sentences):
+        if not all(s.mask.needs_cover for s in specs):
+            raise ConfigError("split pipeline supports scene-mask heads only; dependency "
+                              "masks would need parses of each fragment")
+        # any scene family reads the covers and checks them against the sentences
+        records, _ = _mask_records([MaskSpec("binary")], args, sentences)
+        # a piece is one scene, over which every scene family's mask is all ones
+        return [[(piece, {s.label: np.ones((len(piece), len(piece))) for s in specs})
+                 for piece in sem_split(tokens, cover)]
+                for tokens, (cover, _, _) in zip(sentences, records)]
 
-
-def _single_scene_cover(n):
-    scene = semgraph.Scene(0, frozenset(range(n)), "P", frozenset({0}))
-    return semgraph.SceneCover(n, [scene], frozenset())
+    return _decode(args, argv, "split", line_pieces)
 
 
 def cmd_evaluate(args, argv):

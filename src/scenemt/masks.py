@@ -137,8 +137,8 @@ def scaled_scene_mask(cover, c):
 
 def normal_scene_mask(cover, c):
     """Gaussian of C * scene distance with the peak pinned at exactly 1."""
-    if c <= 0:
-        raise ConfigError(f"normal mask needs C > 0, got {c}")
+    if not 0.0 < c < math.inf:
+        raise ConfigError(f"normal mask needs a finite C > 0, got {c}")
     dist = scene_distance(cover)
     values = np.zeros_like(dist)
     finite = np.isfinite(dist)
@@ -206,8 +206,8 @@ class MaskSpec:
             if self.c is None or not 0.0 < self.c < 1.0:
                 raise ConfigError("scaled mask needs C in (0,1)")
         elif self.family == "normal":
-            if self.c is None or self.c <= 0:
-                raise ConfigError("normal mask needs C > 0")
+            if self.c is None or not 0.0 < self.c < math.inf:
+                raise ConfigError("normal mask needs a finite C > 0")
         elif self.c is not None:
             raise ConfigError(f"family {self.family!r} takes no C")
 

@@ -56,12 +56,19 @@ class ModelConfig:
     max_len: int = 256
 
     def __post_init__(self):
+        if self.d_model < 1 or self.heads < 1:
+            raise ConfigError(f"d_model={self.d_model} and heads={self.heads} must be positive")
         if self.d_model % self.heads != 0:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by heads={self.heads}"
             )
         if self.d_ff is None:
             self.d_ff = 4 * self.d_model
+        if self.d_ff < 1:
+            raise ConfigError(f"d_ff={self.d_ff} must be positive")
+        if self.enc_layers < 0 or self.dec_layers < 0:
+            raise ConfigError(f"enc_layers={self.enc_layers} and dec_layers={self.dec_layers} "
+                              "must not be negative")
 
     @property
     def d_k(self):
@@ -164,7 +171,8 @@ def check_mask(mask, label, shape):
     mask = np.asarray(mask, dtype=np.float64)
     if mask.shape != shape:
         raise DimensionError(f"mask {label!r} has shape {mask.shape}, expected {shape}")
-    if mask.min(initial=0.0) < 0.0 or mask.max(initial=0.0) > 1.0:
+    # written so that NaN, which fails every comparison, is refused too
+    if not (mask.min(initial=0.0) >= 0.0 and mask.max(initial=0.0) <= 1.0):
         raise DimensionError(f"mask {label!r} values must lie in [0, 1]")
     return mask
 
@@ -736,7 +744,7 @@ def log_softmax(x):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def translate(model, src_ids, masks=None, cfg=None, greedy=False):
+def translate(model, src_ids, masks=None, cfg=None):
     """Decode one source sentence into target ids (without BOS/EOS).
 
     The encoder output, the cross-attention keys and values and the checked
@@ -747,12 +755,10 @@ def translate(model, src_ids, masks=None, cfg=None, greedy=False):
     probabilities match a full-prefix `Model.decode` to within 1e-12.
     The decode length is capped at the model's max_len - 1, so the longest
     prefix (BOS plus the tokens so far) still fits the position table.
-    `greedy` is beam search at width 1 with no length penalty.
+    `cfg` sets the search: argmax decoding is `DecodeConfig(beam=1, alpha=0.0)`.
     """
     cfg = cfg or DecodeConfig()
     cfg = replace(cfg, max_len=min(cfg.max_len, model.cfg.max_len - 1))
-    if greedy:
-        cfg = replace(cfg, beam=1, alpha=0.0)
     with ad.no_grad():
         state = model.decoder_state(model.encode(src_ids, masks), masks, cached=True)
 

@@ -390,12 +390,13 @@ class TestTranslateCommand:
         lines = (out / "hyps.txt").read_text().split("\n")
         assert lines[1] == ""
 
-    def test_over_long_source_exits_3_naming_file_and_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["translate", "split"])
+    def test_over_long_source_exits_3_naming_file_and_line(self, tmp_path, capsys, command):
         src, cov = tmp_path / "long.src", tmp_path / "long.cover"
         src.write_text("a b c\n" + " ".join(["a"] * 300) + "\n")
         cov.write_text("#L 3\nS P main=0 tokens=0,1,2\n"
                        "#L 300\nS P main=0 tokens=" + ",".join(map(str, range(300))) + "\n")
-        assert run(["translate", "--model", STORED, "--src", src, "--cover", cov,
+        assert run([command, "--model", STORED, "--src", src, "--cover", cov,
                     "--out", tmp_path / "o"]) == 3
         err = capsys.readouterr().err
         assert "long.src: line 2: 300 tokens need 300 positions, over the model's max_len 16" in err
@@ -433,6 +434,17 @@ class TestSplitCommand:
                     "--greedy", "--max-len", "10", "--out", out]) == 0
         line = (out / "hyps.txt").read_text().strip()
         assert line.split().count(".") == 1  # two scenes, one delimiter
+
+    def test_a_line_over_max_len_whose_scenes_fit_is_split(self, tmp_path):
+        # 20 tokens, over the stored model's max_len 16, in two scenes of 10
+        src, cov = tmp_path / "long.src", tmp_path / "long.cover"
+        src.write_text(" ".join(["a", "b"] * 10) + "\n")
+        cov.write_text("#L 20\nS P main=0 tokens=" + ",".join(map(str, range(10))) + "\n"
+                       "S P main=10 tokens=" + ",".join(map(str, range(10, 20))) + "\n")
+        out = tmp_path / "o"
+        assert run(["split", "--model", STORED, "--src", src, "--cover", cov,
+                    "--max-len", "6", "--out", out]) == 0
+        assert (out / "hyps.txt").read_text().count(" . ") == 1
 
     def test_single_scene_has_no_delimiter(self, trained_dir, tmp_path):
         root, model_dir = trained_dir
@@ -513,19 +525,36 @@ def train_argv(src, trg, cov, out, *extra):
 
 
 class TestHeadSpecErrors:
-    @pytest.mark.parametrize("spec,fragment", [
-        ("layers=x", "layers=x"),
-        ("family=scaled;C=abc", "C=abc"),
-        ("heads=1,", "heads=1,"),
-        ("layers", "layers"),
-    ])
-    def test_bad_fragment_exits_2_naming_it(self, tmp_path, capsys, spec, fragment):
+    """Bad head-spec fragments, mask scales and model sizes given to train exit 2 naming them."""
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--sasa", "layers=x"], "'layers=x'"),
+        (["--sasa", "family=scaled;C=abc"], "'C=abc'"),
+        (["--sasa", "heads=1,"], "'heads=1,'"),
+        (["--sasa", "layers"], "'layers'"),
+        (["--sasa", "family=normal;C=nan"], "normal mask needs a finite C > 0"),
+        (["--sasa", "family=normal", "--C", "inf"], "normal mask needs a finite C > 0"),
+        (["--heads", "0"], "d_model=8 and heads=0 must be positive"),
+        (["--d-model", "0"], "d_model=0 and heads=2 must be positive"),
+        (["--d-ff", "0"], "d_ff=0 must be positive"),
+        (["--heads", "-2"], "d_model=8 and heads=-2 must be positive"),
+        (["--layers", "-1"], "enc_layers=-1 and dec_layers=-1 must not be negative"),
+        (["--d-ff", "-4"], "d_ff=-4 must be positive"),
+    ], ids=["layers=x-layers=x", "family=scaled;C=abc-C=abc", "heads=1,-heads=1,",
+            "layers-layers", "normal-C=nan", "normal-C=inf", "heads=0", "d-model=0",
+            "d-ff=0", "heads=-2", "layers=-1", "d-ff=-4"])
+    def test_bad_fragment_exits_2_naming_it(self, tmp_path, capsys, flags, message):
         src, trg, cov = tmp_path / "c.src", tmp_path / "c.trg", tmp_path / "c.cover"
         write_copy_task(src, trg, cov, pairs=4, seed=1)
-        assert run(train_argv(src, trg, cov, tmp_path / "o", "--sasa", spec)) == 2
+        assert run(train_argv(src, trg, cov, tmp_path / "o", *flags)) == 2
         err = capsys.readouterr().err
-        assert repr(fragment) in err
+        assert message in err
         assert "Traceback" not in err
+
+    def test_zero_layers_still_train(self, tmp_path):
+        src, trg, cov = tmp_path / "c.src", tmp_path / "c.trg", tmp_path / "c.cover"
+        write_copy_task(src, trg, cov, pairs=4, seed=1)
+        assert run(train_argv(src, trg, cov, tmp_path / "o", "--layers", "0")) == 0
 
 
 class TestCorpusValidation:
@@ -570,6 +599,12 @@ class TestModelDir:
         (lambda lines: lines.__setitem__(3, "enc_layers=abc"), 4),
         (lambda lines: lines.__setitem__(-1, lines[-1].replace(";label=sasa", "")), 9),
         (lambda lines: lines.__setitem__(-1, lines[-1].replace("layers=4", "layers=x")), 9),
+        (lambda lines: lines.__setitem__(-1, lines[-1].replace("family=binary;C=",
+                                                               "family=normal;C=nan")), 9),
+        # sizes no model can have, which no single line holds
+        (lambda lines: lines.__setitem__(5, "heads=0"), "d_model=16 and heads=0 must be positive"),
+        (lambda lines: lines.__setitem__(6, "d_ff=0"), "d_ff=0 must be positive"),
+        (lambda lines: lines.__setitem__(5, "heads=3"), "d_model=16 not divisible by heads=3"),
     ])
     def test_bad_model_cfg_line_exits_3_naming_it(self, trained_dir, tmp_path, capsys,
                                                   edit, line):
@@ -581,7 +616,8 @@ class TestModelDir:
         (bad / "model.cfg").write_text("\n".join(lines) + "\n")
         assert self.translate(bad, root, tmp_path / "o") == 3
         err = capsys.readouterr().err
-        assert f"model.cfg: line {line}: " in err
+        where = f"line {line}: " if isinstance(line, int) else line
+        assert f"model.cfg: {where}" in err
         assert "Traceback" not in err
 
     def test_missing_field_exits_3(self, trained_dir, tmp_path, capsys):

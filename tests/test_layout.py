@@ -1,4 +1,4 @@
-"""Every module and every top-level function and class in the package has a caller in it.
+"""Every module, top-level function and class and imported name in the package is used in it.
 
 A re-export from `__init__.py` is not a caller: the names and modules it
 lists must also be used by the program itself.
@@ -56,3 +56,20 @@ def test_every_module_is_imported_by_another():
                     imported.add(node.module)
     orphans = sorted(set(trees) - ENTRY_MODULES - imported)
     assert not orphans, f"modules no other module imports: {orphans}"
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for module, tree in _trees().items():
+        if module == "__init__":  # its imports are the package's re-exports
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]  # `import a.b` binds `a`
+                if name not in used:
+                    unused.append(f"{module}:{name}")
+    assert not unused, f"imported but never used: {unused}"

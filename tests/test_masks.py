@@ -80,8 +80,14 @@ class TestBinaryMask:
         assert m[I, BARKED] == 0.0
 
     def test_single_scene_is_all_ones(self):
+        # `scenemt split` masks each scene piece with np.ones, for every scene family
         cover = SceneCover(4, [Scene(0, frozenset(range(4)), "P", frozenset({0}))])
-        np.testing.assert_array_equal(binary_scene_mask(cover).values, 1.0)
+        ones = np.ones((4, 4)).tobytes()
+        assert binary_scene_mask(cover).values.tobytes() == ones
+        for c in (1e-6, 0.1, 0.5, 0.999):
+            assert scaled_scene_mask(cover, c).values.tobytes() == ones
+        for c in (1e-6, 0.5, 1.0, 7.0, 1e300):
+            assert normal_scene_mask(cover, c).values.tobytes() == ones
 
     def test_three_scene_chain_matches_brute_force(self):
         scenes = [
@@ -371,6 +377,11 @@ class TestMaskSpec:
             MaskSpec("binary", 0.5)
         with pytest.raises(ConfigError):
             MaskSpec("no-such-family")
+        for c in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="normal mask needs a finite C > 0"):
+                MaskSpec("normal", c)
+        with pytest.raises(ConfigError):
+            MaskSpec("scaled", math.nan)
 
 
 class TestMaskFiles:

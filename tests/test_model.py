@@ -45,7 +45,8 @@ BAD_MASKS = pytest.mark.parametrize("mask,error,match", [
     (np.ones((2, 2)), DimensionError, r"mask 'm' has shape \(2, 2\), expected \(3, 3\)"),
     (np.full((3, 3), 1.5), DimensionError, "mask 'm' values must lie in"),
     (np.full((3, 3), -0.5), DimensionError, "mask 'm' values must lie in"),
-], ids=["missing", "shape", "above-one", "negative"])
+    (np.where(np.eye(3), np.nan, 0.5), DimensionError, "mask 'm' values must lie in"),
+], ids=["missing", "shape", "above-one", "negative", "nan"])
 
 
 def rand_qkv(rng, L, d):
@@ -1097,7 +1098,7 @@ class TestTranslate:
         model = Model(cfg, seed=17)
         src = [4, 5, 6, 7]
         a = translate(model, src, cfg=DecodeConfig(beam=1, alpha=0.6, max_len=8))
-        b = translate(model, src, cfg=DecodeConfig(beam=1, alpha=0.6, max_len=8), greedy=True)
+        b = translate(model, src, cfg=DecodeConfig(beam=1, alpha=0.0, max_len=8))
         assert a.tokens == b.tokens
 
     def test_max_len_past_the_model_is_capped(self):
@@ -1208,10 +1209,11 @@ class TestIncrementalDecoding:
                 with ad.no_grad():
                     return M.log_softmax(model.decode(list(prefix), enc_out, masks).data[-1])
 
-            cfg = DecodeConfig(beam=4, alpha=0.6, max_len=cap)
-            for greedy, ref in [(False, beam_search(score_fn, BOS, EOS, cfg)),
-                                (True, greedy_decode(score_fn, BOS, EOS, cap))]:
-                got = translate(model, src, masks, cfg, greedy=greedy)
+            beam4 = DecodeConfig(beam=4, alpha=0.6, max_len=cap)
+            greedy = DecodeConfig(beam=1, alpha=0.0, max_len=cap)
+            for cfg, ref in [(beam4, beam_search(score_fn, BOS, EOS, beam4)),
+                             (greedy, greedy_decode(score_fn, BOS, EOS, cap))]:
+                got = translate(model, src, masks, cfg)
                 assert got.tokens == [t for t in ref.tokens if t != EOS]
                 assert got.finished == ref.finished
                 # a step computes one row where the full pass computes a
@@ -1279,8 +1281,9 @@ def golden_decodes():
         m = (rng.random((n, n)) > 0.4) * rng.random((n, n))
         np.fill_diagonal(m, 1.0)
         masks = {"sasa": m, "sacra": m.T.copy()}
-        for name, greedy in (("beam4", False), ("greedy", True)):
-            got = translate(model, src, masks, DecodeConfig(beam=4, max_len=20), greedy=greedy)
+        for name, cfg in (("beam4", DecodeConfig(beam=4, max_len=20)),
+                          ("greedy", DecodeConfig(beam=1, alpha=0.0, max_len=20))):
+            got = translate(model, src, masks, cfg)
             lines.append(f"{name} src={' '.join(map(str, src))} "
                          f"tokens={' '.join(map(str, got.tokens))} score={got.score!r} "
                          f"finished={got.finished}")
