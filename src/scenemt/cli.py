@@ -98,12 +98,8 @@ def _load_trees(args):
 def _write_manifest(out_dir, command, argv, args, results=()):
     lines = [f"tool=scenemt {__version__}", f"command={command}",
              f"argv={shlex.join(argv)}"]
-    for key in sorted(vars(args)):
-        if key.startswith("_") or key == "func":
-            continue
-        lines.append(f"arg.{key}={getattr(args, key)}")
-    for key, value in results:
-        lines.append(f"result.{key}={value}")
+    lines += [f"arg.{key}={value}" for key, value in sorted(vars(args).items())]
+    lines += [f"result.{key}={value}" for key, value in results]
     (Path(out_dir) / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -234,17 +230,8 @@ def _check_corpus(path, sentences, max_len, reserved=0, limit="--max-len", allow
 
 def _save_model_dir(out, model, src_vocab, trg_vocab):
     autodiff.save_checkpoint(out / "checkpoint.ckpt", model.state_arrays())
-    cfg = model.cfg
-    lines = [
-        f"src_vocab={cfg.src_vocab}",
-        f"trg_vocab={cfg.trg_vocab}",
-        f"d_model={cfg.d_model}",
-        f"enc_layers={cfg.enc_layers}",
-        f"dec_layers={cfg.dec_layers}",
-        f"heads={cfg.heads}",
-        f"d_ff={cfg.d_ff}",
-        f"max_len={cfg.max_len}",
-    ]
+    # one line per ModelConfig field, as _load_model_dir expects
+    lines = [f"{f.name}={getattr(model.cfg, f.name)}" for f in dataclasses.fields(ModelConfig)]
     for spec in model.head_specs:
         layers = ",".join(str(x) for x in sorted(spec.layers))
         heads = ",".join(str(x) for x in sorted(spec.heads))

@@ -1,27 +1,30 @@
 """Encoder-decoder transformer with pluggable scene-aware attention heads.
 
-Every head goes through one routine, `attention` (one autodiff node, from
-`autodiff`): scaled dot-product attention whose post-softmax weights a
-designated encoder self-attention head multiplies elementwise by a structural
-mask (scene, parent-Gaussian, or tree-distance families all plug in the same
-way, after the softmax). Heads are an array axis: a sublayer's heads are
-projected in and merged out by one GEMM each (`autodiff.project_heads`,
+Every attention sublayer goes through `Model._attend` and every head through
+one routine, `attention` (one autodiff node, from `autodiff`): scaled
+dot-product attention whose post-softmax weights a designated encoder
+self-attention head multiplies elementwise by a structural mask (scene,
+parent-Gaussian, or tree-distance families all plug in the same way, after
+the softmax). Heads are an array axis: a sublayer's heads are projected in
+and merged out by one GEMM each (`autodiff.project_heads`,
 `autodiff.merge_heads`), with the weights kept as [H, d, d_k] and [H, d_k, d].
 Designated decoder cross-attention heads instead take `aggregated_keys`, the
 encoder output summed over the mask, so source tokens with identical mask
 rows become indistinguishable to every query. A mask is checked once where
 it enters (`check_mask`): per label in each `encode` call and each decoder
-state (one per `decode` pass, one per `translate`), and per pair before
+state (one per `forward` pass, one per `translate`), and per pair before
 `train` or `token_accuracy` runs its first forward pass.
 
 Training is a single deterministic stream: Adam on a Noam-shaped learning
 rate, run in place over one flat parameter buffer, label-smoothed per-token
 cross entropy, seeded parameter init and batch order, with each step's pairs
-padded into one batch and run as one graph. Decoding is beam search with
-GNMT-style length normalization, incremental as in the autoregressive
-decoder of Vaswani et al. 2017: the source side of every decoder layer is
-built once per sentence, and each step runs all live hypotheses through the
-decoder as one batch, reusing their cached self-attention keys and values.
+padded into one batch and run as one graph. Training and decoding share one
+decoder path: `Model.decoder_state` encodes the source and builds the source
+side of every decoder layer once; `Model.decode` runs whole target prefixes
+on a state's first call, and beam search (GNMT-style length normalization)
+runs one step per later call, incremental as in Vaswani et al. 2017: all
+live hypotheses as one batch, reusing their cached self-attention keys and
+values.
 """
 
 from __future__ import annotations
@@ -69,6 +72,8 @@ class ModelConfig:
         if self.enc_layers < 0 or self.dec_layers < 0:
             raise ConfigError(f"enc_layers={self.enc_layers} and dec_layers={self.dec_layers} "
                               "must not be negative")
+        if self.max_len < 2:
+            raise ConfigError(f"max_len={self.max_len} must be at least 2, for BOS and one token")
 
     @property
     def d_k(self):
@@ -139,6 +144,14 @@ class TrainConfig:
             raise ConfigError("warmup must be at least 1")
         if self.steps < 1 or self.batch_size < 1:
             raise ConfigError("steps and batch size must be positive")
+        if self.seed < 0 or self.eval_every < 0:
+            raise ConfigError(f"seed={self.seed} and eval_every={self.eval_every} "
+                              "must not be negative")
+        # written so that NaN, which fails every comparison, is refused too
+        if not 0.0 < self.adam_eps < math.inf:
+            raise ConfigError(f"adam_eps={self.adam_eps} must be finite and positive")
+        if self.target_accuracy is not None and not 0.0 < self.target_accuracy <= 1.0:
+            raise ConfigError(f"target_accuracy={self.target_accuracy} must lie in (0, 1]")
 
 
 @dataclass
@@ -150,6 +163,10 @@ class DecodeConfig:
     def __post_init__(self):
         if self.beam < 1:
             raise ConfigError("beam width must be at least 1")
+        if self.max_len < 1:
+            raise ConfigError(f"max_len={self.max_len} must be at least 1")
+        if not math.isfinite(self.alpha):
+            raise ConfigError(f"alpha={self.alpha} must be finite")
 
 
 # -- attention ----------------------------------------------------------------------
@@ -235,26 +252,28 @@ class DecoderState:
 
     `cross[l]` holds layer l's source side: the plain heads' (keys, values)
     and the aggregated-key heads' (aggregated keys, values), each None where
-    the layer has no such head; `bias` hides padded source keys. A cached
-    state also keeps, per layer, the self-attention (keys, values) of the
-    `steps` positions decoded so far, as [n, H, steps, d_k] arrays for the n
-    live prefixes.
+    the layer has no such head; `bias` hides padded source keys. The state
+    also keeps, per layer, the self-attention (keys, values) of the `steps`
+    positions decoded so far, as [n, H, steps, d_k] arrays for the n live
+    prefixes.
     """
 
-    def __init__(self, cross, bias, cached):
+    def __init__(self, cross, bias):
         self.cross, self.bias = cross, bias
-        self.self_kv = [None] * len(cross) if cached else None
+        self.self_kv = [None] * len(cross)
         self.steps = 0
 
     def extend(self, l, k, v):
-        """Layer l's self-attention keys and values, the cached ones first."""
-        if self.self_kv is None:
-            return k, v
+        """Layer l's self-attention keys and values, the cached ones first.
+
+        A first call's are k and v themselves, so gradients reach them; the
+        cache keeps only their data.
+        """
         kv = (k.data, v.data)
         if self.steps:
             kv = tuple(np.concatenate(pair, axis=-2) for pair in zip(self.self_kv[l], kv))
         self.self_kv[l] = kv
-        return Tensor(kv[0]), Tensor(kv[1])
+        return (Tensor(kv[0]), Tensor(kv[1])) if self.steps else (k, v)
 
     def reorder(self, parents):
         """Row i's cache becomes that of row parents[i] of the previous step."""
@@ -391,9 +410,15 @@ class Model:
         p = self.params
         return ad.layer_norm(x, sub, p[f"{prefix}.g"], p[f"{prefix}.b"])
 
-    def _qkv(self, prefix, x):
+    def _kv(self, prefix, x):
         p = self.params
-        return tuple(ad.project_heads(x, p[f"{prefix}.{w}"]) for w in ("wq", "wk", "wv"))
+        return tuple(ad.project_heads(x, p[f"{prefix}.{w}"]) for w in ("wk", "wv"))
+
+    def _attend(self, prefix, x, kv, bias, mask=None):
+        """One attention sublayer: x's queries against `kv`, the heads merged."""
+        p = self.params
+        q = ad.project_heads(x, p[f"{prefix}.wq"])
+        return ad.merge_heads(attention(q, *kv, bias, mask), p[f"{prefix}.wo"])
 
     @staticmethod
     def _mask_stacks(masks, rows, shape):
@@ -416,74 +441,64 @@ class Model:
         stacks = self._mask_stacks(masks, self.enc_masked, ids.shape + ids.shape[-1:])
         for l, stack in enumerate(stacks):
             pre = f"enc.{l}.attn"
-            o = attention(*self._qkv(pre, x), bias, stack)
-            x = self._sublayer_norm(f"enc.{l}.ln1", x, ad.merge_heads(o, p[f"{pre}.wo"]))
+            o = self._attend(pre, x, self._kv(pre, x), bias, stack)
+            x = self._sublayer_norm(f"enc.{l}.ln1", x, o)
             x = self._sublayer_norm(f"enc.{l}.ln2", x, self._ffn(f"enc.{l}", x))
         return x
 
-    def decoder_state(self, enc_out, masks=None, src_lengths=None, cached=False):
-        """The source side of every decoder layer, built once from the encoder output.
+    def decoder_state(self, src_ids, masks=None):
+        """Encode `src_ids` and build the source side of every decoder layer once.
 
-        The SACrA masks are checked here, once per label. A `cached` state
-        also keeps the self-attention keys and values of the target positions
-        decoded so far, for step-by-step decoding under `autodiff.no_grad`.
+        A padded batch's true source lengths come from its PAD ids. The SACrA
+        masks are checked here, once per label. The state starts with an
+        empty self-attention cache (see `decode`).
         """
         p = self.params
+        ids = np.asarray(src_ids, dtype=np.intp)
+        enc_out = self.encode(ids, masks)
+        src_lengths = _lengths(ids)
         # aggregated keys take a head axis for the SACrA mask stack to broadcast over
         xh = ad.reshape(enc_out, enc_out.shape[:-2] + (1,) + enc_out.shape[-2:])
         agg = self.cross_masked != ""
         stacks = self._mask_stacks(masks, [row[a] for row, a in zip(self.cross_masked, agg)],
-                                   enc_out.shape[:-1] + enc_out.shape[-2:-1])
+                                   ids.shape + ids.shape[-1:])
         cross = []
         for l, stack in enumerate(stacks):
             pre = f"dec.{l}.cross"
-            plain = None if agg[l].all() else (ad.project_heads(enc_out, p[f"{pre}.wk"]),
-                                               ad.project_heads(enc_out, p[f"{pre}.wv"]))
+            plain = None if agg[l].all() else self._kv(pre, enc_out)
             aggregated = None if stack is None else (aggregated_keys(xh, stack, src_lengths),
                                                      ad.project_heads(enc_out, p[f"{pre}.agg.wv"]))
             cross.append((plain, aggregated))
-        return DecoderState(cross, _key_bias(src_lengths, enc_out.shape[-2]), cached)
+        return DecoderState(cross, _key_bias(src_lengths, ids.shape[-1]))
 
-    def decode(self, trg_in_ids, enc_out=None, masks=None, src_lengths=None, state=None):
-        """Logits for each target position.
+    def decode(self, trg_in_ids, state):
+        """Logits for each target position, against the source of `state`.
 
-        Without `state`, one pass over whole target prefixes from `enc_out`;
-        for a padded batch, `src_lengths` holds each sentence's true source
-        length (forward passes it), and for one sentence it stays None.
-        With a cached `state` (see `decoder_state`), one step: `trg_in_ids`
-        holds the [n, 1] last tokens of the n live prefixes, at position
-        `state.steps`, and their self-attention keys and values join the
-        state's cache.
+        A state's first call runs whole target prefixes, with gradients, under
+        the causal and padding bias; `forward` is that call. Each later call,
+        under `autodiff.no_grad`, runs one step: `trg_in_ids` holds the [n, 1]
+        last tokens of the n live prefixes, at position `state.steps`, and
+        their self-attention keys and values join the state's cache.
         """
         p = self.params
         ids = np.asarray(trg_in_ids, dtype=np.intp)
-        if state is None:
-            state = self.decoder_state(enc_out, masks, src_lengths)
-            self_bias = _key_bias(_lengths(ids), ids.shape[-1], causal=True)
-        else:
-            self_bias = None  # a step's one query sees every cached key
+        # a later step's one query sees every cached key
+        self_bias = None if state.steps else _key_bias(_lengths(ids), ids.shape[-1], causal=True)
         y = self._embed(p["trg_emb"], ids, state.steps)
         for l, source in enumerate(state.cross):
             pre = f"dec.{l}.self"
-            q, k, v = self._qkv(pre, y)
-            k, v = state.extend(l, k, v)
-            o = attention(q, k, v, self_bias)
-            y = self._sublayer_norm(f"dec.{l}.ln1", y, ad.merge_heads(o, p[f"{pre}.wo"]))
-
-            cross = None
-            for pre, kv in zip((f"dec.{l}.cross", f"dec.{l}.cross.agg"), source):
-                if kv is not None:
-                    q = ad.project_heads(y, p[f"{pre}.wq"])
-                    o = ad.merge_heads(attention(q, *kv, state.bias), p[f"{pre}.wo"])
-                    cross = o if cross is None else ad.add(cross, o)
-            y = self._sublayer_norm(f"dec.{l}.ln2", y, cross)
+            kv = state.extend(l, *self._kv(pre, y))
+            y = self._sublayer_norm(f"dec.{l}.ln1", y, self._attend(pre, y, kv, self_bias))
+            cross = [self._attend(name, y, src_kv, state.bias)
+                     for name, src_kv in zip((f"dec.{l}.cross", f"dec.{l}.cross.agg"), source)
+                     if src_kv is not None]
+            y = self._sublayer_norm(f"dec.{l}.ln2", y, functools.reduce(ad.add, cross))
             y = self._sublayer_norm(f"dec.{l}.ln3", y, self._ffn(f"dec.{l}", y))
         state.steps += ids.shape[-1]
         return ad.linear(y, p["out.w"], p["out.b"])
 
     def forward(self, src_ids, trg_in_ids, masks=None):
-        src_lengths = _lengths(np.asarray(src_ids))
-        return self.decode(trg_in_ids, self.encode(src_ids, masks), masks, src_lengths)
+        return self.decode(trg_in_ids, self.decoder_state(src_ids, masks))
 
     # persistence -------------------------------------------------------------------
 
@@ -728,14 +743,10 @@ def _search(step, bos, eos, cfg):
                 break
         if not live:
             break
-    if done:
-        score, seq = min(done, key=best)
-        return BeamResult(list(seq[1:]), score, True)
-    if not live:
-        return BeamResult([], -math.inf, False)
-    score, seq = min(((lp / length_penalty(len(seq) - 1, cfg.alpha), seq) for lp, seq, _ in live),
-                     key=best)
-    return BeamResult(list(seq[1:]), score, False)
+    # each step leaves some candidate live or done, and cfg.max_len >= 1 runs one
+    score, seq = min(done or [(lp / length_penalty(len(seq) - 1, cfg.alpha), seq)
+                              for lp, seq, _ in live], key=best)
+    return BeamResult(list(seq[1:]), score, bool(done))
 
 
 def log_softmax(x):
@@ -748,11 +759,11 @@ def translate(model, src_ids, masks=None, cfg=None):
     """Decode one source sentence into target ids (without BOS/EOS).
 
     The encoder output, the cross-attention keys and values and the checked
-    masks are built once, in a cached decoder state. Each search step then
-    runs the decoder once over the last tokens of all live prefixes, whose
-    self-attention keys and values join the cache; after the beam is
+    masks are built once, by `Model.decoder_state`. Each search step then
+    runs `Model.decode` once over the last tokens of all live prefixes, whose
+    self-attention keys and values join the state's cache; after the beam is
     selected, the cache rows follow their hypotheses. Every step's log
-    probabilities match a full-prefix `Model.decode` to within 1e-12.
+    probabilities match a full-prefix `Model.forward` to within 1e-12.
     The decode length is capped at the model's max_len - 1, so the longest
     prefix (BOS plus the tokens so far) still fits the position table.
     `cfg` sets the search: argmax decoding is `DecodeConfig(beam=1, alpha=0.0)`.
@@ -760,12 +771,12 @@ def translate(model, src_ids, masks=None, cfg=None):
     cfg = cfg or DecodeConfig()
     cfg = replace(cfg, max_len=min(cfg.max_len, model.cfg.max_len - 1))
     with ad.no_grad():
-        state = model.decoder_state(model.encode(src_ids, masks), masks, cached=True)
+        state = model.decoder_state(src_ids, masks)
 
         def step(prefixes, parents):
             state.reorder(parents)
             last = np.array([seq[-1:] for seq in prefixes])
-            return log_softmax(model.decode(last, state=state).data[:, -1])
+            return log_softmax(model.decode(last, state).data[:, -1])
 
         result = _search(step, BOS, EOS, cfg)
     tokens = [t for t in result.tokens if t != EOS]

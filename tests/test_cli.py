@@ -272,6 +272,27 @@ class TestStoredModel:
                     "--out", tmp_path]) == 0
         assert (tmp_path / "hyps.txt").read_bytes() == (STORED / expected).read_bytes()
 
+    @pytest.mark.parametrize("command", ["translate", "split"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--beam", "0"], "beam width must be at least 1"),
+        (["--alpha", "nan"], "alpha=nan must be finite"),
+        (["--alpha", "inf"], "alpha=inf must be finite"),
+        (["--alpha=-inf"], "alpha=-inf must be finite"),
+        (["--max-len", "0"], "max_len=0 must be at least 1"),
+        (["--max-len", "-3"], "max_len=-3 must be at least 1"),
+    ], ids=["beam=0", "alpha=nan", "alpha=inf", "alpha=-inf", "max-len=0", "max-len=-3"])
+    def test_bad_decode_flag_exits_2_naming_it(self, tmp_path, capsys, command, flags, message):
+        assert run([command, "--model", STORED, "--src", STORED / "c.src",
+                    "--cover", STORED / "c.cover", *flags, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_resaved_model_cfg_is_unchanged(self, tmp_path):
+        model, src_vocab, trg_vocab = cli._load_model_dir(STORED)
+        cli._save_model_dir(tmp_path, model, src_vocab, trg_vocab)
+        assert (tmp_path / "model.cfg").read_bytes() == (STORED / "model.cfg").read_bytes()
+
 
 def _input_files(tmp_path, **texts):
     paths = {}
@@ -525,7 +546,8 @@ def train_argv(src, trg, cov, out, *extra):
 
 
 class TestHeadSpecErrors:
-    """Bad head-spec fragments, mask scales and model sizes given to train exit 2 naming them."""
+    """Bad head-spec fragments, mask scales, model sizes and training settings given to
+    train exit 2 naming them."""
 
     @pytest.mark.parametrize("flags,message", [
         (["--sasa", "layers=x"], "'layers=x'"),
@@ -540,9 +562,20 @@ class TestHeadSpecErrors:
         (["--heads", "-2"], "d_model=8 and heads=-2 must be positive"),
         (["--layers", "-1"], "enc_layers=-1 and dec_layers=-1 must not be negative"),
         (["--d-ff", "-4"], "d_ff=-4 must be positive"),
+        (["--seed", "-1"], "seed=-1 and eval_every=0 must not be negative"),
+        (["--eval-every", "-1"], "seed=0 and eval_every=-1 must not be negative"),
+        (["--adam-eps", "-1"], "adam_eps=-1.0 must be finite and positive"),
+        (["--adam-eps", "nan"], "adam_eps=nan must be finite and positive"),
+        (["--adam-eps", "0"], "adam_eps=0.0 must be finite and positive"),
+        (["--adam-eps", "inf"], "adam_eps=inf must be finite and positive"),
+        (["--target-accuracy", "nan"], "target_accuracy=nan must lie in (0, 1]"),
+        (["--target-accuracy", "0"], "target_accuracy=0.0 must lie in (0, 1]"),
+        (["--target-accuracy", "1.5"], "target_accuracy=1.5 must lie in (0, 1]"),
     ], ids=["layers=x-layers=x", "family=scaled;C=abc-C=abc", "heads=1,-heads=1,",
             "layers-layers", "normal-C=nan", "normal-C=inf", "heads=0", "d-model=0",
-            "d-ff=0", "heads=-2", "layers=-1", "d-ff=-4"])
+            "d-ff=0", "heads=-2", "layers=-1", "d-ff=-4", "seed=-1", "eval-every=-1",
+            "adam-eps=-1", "adam-eps=nan", "adam-eps=0", "adam-eps=inf", "target-accuracy=nan",
+            "target-accuracy=0", "target-accuracy=1.5"])
     def test_bad_fragment_exits_2_naming_it(self, tmp_path, capsys, flags, message):
         src, trg, cov = tmp_path / "c.src", tmp_path / "c.trg", tmp_path / "c.cover"
         write_copy_task(src, trg, cov, pairs=4, seed=1)
@@ -605,6 +638,7 @@ class TestModelDir:
         (lambda lines: lines.__setitem__(5, "heads=0"), "d_model=16 and heads=0 must be positive"),
         (lambda lines: lines.__setitem__(6, "d_ff=0"), "d_ff=0 must be positive"),
         (lambda lines: lines.__setitem__(5, "heads=3"), "d_model=16 not divisible by heads=3"),
+        (lambda lines: lines.__setitem__(7, "max_len=1"), "max_len=1 must be at least 2"),
     ])
     def test_bad_model_cfg_line_exits_3_naming_it(self, trained_dir, tmp_path, capsys,
                                                   edit, line):

@@ -125,12 +125,11 @@ class TestSasaAttention:
             model.encode([1, 2, 3, 4], {"sasa": np.ones((3, 3))})
 
     def test_mask_range_checked(self):
-        # and decode for aggregated-key heads
+        # and the decoder state for aggregated-key heads
         model = Model(tiny_config(), [HeadSpec("cross", {2}, {1}, MaskSpec("binary"), "sacra")],
                       seed=0)
-        enc_out = model.encode([1, 2])
         with pytest.raises(DimensionError, match="mask 'sacra' values must lie in"):
-            model.decode([BOS, 3], enc_out, {"sacra": np.full((2, 2), 1.5)})
+            model.decoder_state([1, 2], {"sacra": np.full((2, 2), 1.5)})
 
 
 class TestSacraAttention:
@@ -487,7 +486,7 @@ class TestForward:
             if site == "encoder":
                 model.encode([1, 2, 3], masks)
             else:
-                model.decode([BOS, 4], model.encode([1, 2, 3]), masks)
+                model.decoder_state([1, 2, 3], masks)
 
     def test_each_label_is_checked_once_per_forward(self, monkeypatch):
         # sasa and pascal share an encoder layer, sasa and sacra span two
@@ -1127,15 +1126,14 @@ def cached_steps(model, src, masks, choices, rng):
     one cached step; yields its [n, V] logits with the n prefixes it scored.
     """
     with ad.no_grad():
-        enc_out = model.encode(src, masks)
-        state = model.decoder_state(enc_out, masks, cached=True)
+        state = model.decoder_state(src, masks)
         prefixes = [(BOS,)]
-        yield model.decode(np.array([[BOS]]), state=state).data[:, -1], prefixes, enc_out
+        yield model.decode(np.array([[BOS]]), state).data[:, -1], prefixes
         for parents in choices:
             tokens = rng.integers(4, model.cfg.trg_vocab, size=(len(parents), 1))
             prefixes = [prefixes[p] + (int(t),) for p, (t,) in zip(parents, tokens)]
             state.reorder(parents)
-            yield model.decode(tokens, state=state).data[:, -1], prefixes, enc_out
+            yield model.decode(tokens, state).data[:, -1], prefixes
 
 
 def random_out_model(cfg, specs, seed):
@@ -1146,7 +1144,7 @@ def random_out_model(cfg, specs, seed):
 
 
 class TestIncrementalDecoding:
-    """The cached, beam-batched step against full-prefix Model.decode."""
+    """The cached, beam-batched step against full-prefix Model.forward."""
 
     CONFIGS = {
         "no-masks": [],
@@ -1172,21 +1170,21 @@ class TestIncrementalDecoding:
         src, masks = self.source(rng, 6)
         # rows grow, shrink and share parents, as a beam does
         choices = [[0, 0, 0], [2, 0, 0], [1, 1, 2, 0], [3, 3], [0, 1, 1], [2, 0, 1]]
-        for logits, prefixes, enc_out in cached_steps(model, src, masks, choices, rng):
+        for logits, prefixes in cached_steps(model, src, masks, choices, rng):
             assert logits.shape == (len(prefixes), self.cfg.trg_vocab)
             for row, prefix in zip(logits, prefixes):
                 with ad.no_grad():
-                    full = model.decode(list(prefix), enc_out, masks).data[-1]
+                    full = model.forward(src, list(prefix), masks).data[-1]
                 np.testing.assert_allclose(row, full, rtol=0, atol=1e-12)
 
     def test_rows_sharing_a_parent_get_copies_of_its_cache(self):
         model = random_out_model(self.cfg, [M.sacra_default()], seed=83)
         src, masks = self.source(np.random.default_rng(84), 5)
         with ad.no_grad():
-            state = model.decoder_state(model.encode(src, masks), masks, cached=True)
-            model.decode(np.array([[BOS]]), state=state)
+            state = model.decoder_state(src, masks)
+            model.decode(np.array([[BOS]]), state)
             state.reorder([0, 0])
-            model.decode(np.array([[4], [5]]), state=state)
+            model.decode(np.array([[4], [5]]), state)
             before = [tuple(a.copy() for a in kv) for kv in state.self_kv]
             state.reorder([1, 1])
             for (k, v), (k0, v0) in zip(state.self_kv, before):
@@ -1202,12 +1200,10 @@ class TestIncrementalDecoding:
         rng = np.random.default_rng(86)
         for n, cap in [(3, 5), (7, 12), (10, 23)]:
             src, masks = self.source(rng, n)
-            with ad.no_grad():
-                enc_out = model.encode(src, masks)
 
             def score_fn(prefix):  # the full-prefix reference scorer
                 with ad.no_grad():
-                    return M.log_softmax(model.decode(list(prefix), enc_out, masks).data[-1])
+                    return M.log_softmax(model.forward(src, list(prefix), masks).data[-1])
 
             beam4 = DecodeConfig(beam=4, alpha=0.6, max_len=cap)
             greedy = DecodeConfig(beam=1, alpha=0.0, max_len=cap)

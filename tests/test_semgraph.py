@@ -8,7 +8,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from scenemt import cli, semgraph
 from scenemt.masks import binary_scene_mask, write_mask
@@ -330,6 +330,8 @@ def mutate_ug_lines(lines, edits):
             lines.insert(j, lines[i])
         elif kind == "swap":
             lines[i], lines[j] = lines[j], lines[i]
+        elif not fields:  # an earlier edit emptied the line: no field to edit
+            continue
         elif kind == "non-integer":  # in a header or terminal index, else in any field
             at = {"#L": 1, "T": 2}.get(fields[0], j % len(fields))
             fields[at % len(fields)] = ("1.5", "x", "", "0x1")[j % 4]
@@ -374,6 +376,9 @@ class TestUgFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 12), min_size=1,
                                                            max_size=3), edits=UG_EDITS)
+    # a line the first two edits empty, then edited again
+    @example(seed=0, sizes=[2], edits=[("non-integer", 0, 1406), ("non-integer", 0, 1406),
+                                       ("non-integer", 0, 0)])
     def test_mutated_graphs_exit_cleanly(self, tmp_path, seed, sizes, edits):
         rng = np.random.default_rng(seed)
         text = "".join(random_ucca_text(rng, n) for n in sizes)
