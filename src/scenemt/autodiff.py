@@ -4,8 +4,13 @@ Deliberately small: the dozen operations the translation model needs, on
 scalars, 2-D matrices or stacks of them with leading batch axes, and a tape
 replayed in reverse build order. Each node's backward closure receives the
 node's gradient from the tape and holds no reference to the node itself, so
-a dropped graph is freed by reference counting alone. Everything runs in
-double precision so finite-difference checks can be tight.
+a dropped graph is freed by reference counting alone. The replay consumes
+its tape, as autograd engines do unless asked to keep the graph (Paszke et
+al. 2019): once a node's backward has run, its gradient, closure and parent
+links go, so the graph's buffers are freed while the backward pass still
+runs. Leaves keep their gradients, and a second backward through a spent
+graph raises. Everything runs in double precision so finite-difference
+checks can be tight.
 
 A training step's time goes to per-node Python overhead, not to FLOPs, so
 its hot path is a few large nodes: `attention` is one node with a
@@ -84,11 +89,19 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+def _spent(g):
+    raise RuntimeError("backward through a graph that an earlier backward pass released")
+
+
 class Tape:
     """Ordered record of the computation reaching one output tensor.
 
-    Nodes are collected in topological order; replay() calls each recorded
-    backward closure exactly once, in reverse.
+    Nodes are collected in topological order; replay() pops them in reverse
+    and calls each recorded backward closure exactly once. Then it releases
+    the node: a node with a closure drops its gradient and parent links, and
+    its closure becomes one that raises, so the graph is freed as the pass
+    goes and a second backward through it fails. Leaves, which have no
+    closure, keep their gradients. The tape is empty afterwards.
     """
 
     def __init__(self, nodes):
@@ -112,9 +125,12 @@ class Tape:
         return cls(nodes)
 
     def replay(self):
-        for node in reversed(self.nodes):
+        nodes = self.nodes
+        while nodes:
+            node = nodes.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad, node._parents, node._backward = None, (), _spent
 
 
 def _as_tensor(x):

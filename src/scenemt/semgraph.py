@@ -371,14 +371,18 @@ def parse_cover_file(text):
                 main_spec = opts["main"]
                 if "-" in main_spec:
                     lo, hi = (int(x) for x in main_spec.split("-"))
-                    main = frozenset(range(lo, hi + 1))
                 else:
-                    main = frozenset({int(main_spec)})
+                    lo = hi = int(main_spec)
                 tokens = frozenset(int(x) for x in opts["tokens"].split(","))
             except (ValueError, KeyError, IndexError) as exc:
                 raise ParseError(f"malformed scene line: {exc}", line=lineno) from exc
             if kind not in MAIN_RELATION_CATEGORIES:
                 raise ParseError(f"scene kind must be P or S, got {kind!r}", line=lineno)
+            # checked before the range is built, so a huge bound cannot exhaust memory
+            if not 0 <= lo <= hi < length:
+                raise ParseError(f"main={main_spec} is not an index or range within "
+                                 f"0..{length - 1}", line=lineno)
+            main = frozenset(range(lo, hi + 1))
             if max(tokens, default=-1) >= length or min(tokens, default=0) < 0:
                 raise StructuralError(f"scene token outside 0..{length - 1}")
             raw_scenes.append((kind, main, tokens))

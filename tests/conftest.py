@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, as perfbench pins: set before numpy loads, and inherited by
+# the CLI subprocesses. These matrices are too small for a second thread to
+# pay; it only doubles the CPU a test run burns.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from collections import deque
 
 import numpy as np
@@ -323,6 +331,18 @@ def grad_check(f, x, h=1e-5):
     return float((np.abs(numeric - analytic) / denom).max())
 
 
+def keep_graph_backward(root):
+    """`Tensor.backward` before the replay released the graph, as the reference for it.
+
+    It replays the same nodes in the same reverse-DFS order, but every node
+    keeps its gradient, closure and parents afterwards.
+    """
+    root.grad = np.ones_like(root.data)
+    for node in reversed(ad.Tape.trace(root).nodes):
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
 def reference_layer_norm(x, gain, bias, eps=1e-6):
     """The layer-norm node before the residual add was folded in, with np.mean.
 
@@ -350,6 +370,36 @@ def reference_layer_norm(x, gain, bias, eps=1e-6):
 
 
 # -- search oracles ------------------------------------------------------------------
+
+
+def reference_search(step, bos, eos, cfg):
+    """`model._search` before it stopped early: every beam runs to `max_len` or empties.
+
+    The reference the stop rule must match bitwise, `repr(score)` included.
+    """
+    beam = cfg.beam
+    best = lambda c: (-c[0], c[1])  # higher score first, then smaller token ids
+    live = [(0.0, (bos,), 0)]
+    done = []
+    for _ in range(cfg.max_len):
+        logp = step([seq for _, seq, _ in live], [row for _, _, row in live])
+        top = np.argsort(-logp, axis=-1, kind="stable")[:, :beam]
+        candidates = [(lp + float(logp[row, tok]), seq + (int(tok),), row)
+                      for row, (lp, seq, _) in enumerate(live) for tok in top[row]]
+        candidates.sort(key=best)
+        live = []
+        for lp, seq, row in candidates:
+            if seq[-1] == eos:
+                done.append((lp / length_penalty(len(seq) - 1, cfg.alpha), seq))
+            else:
+                live.append((lp, seq, row))
+            if len(live) == beam:
+                break
+        if not live:
+            break
+    score, seq = min(done or [(lp / length_penalty(len(seq) - 1, cfg.alpha), seq)
+                              for lp, seq, _ in live], key=best)
+    return BeamResult(list(seq[1:]), score, bool(done))
 
 
 def beam_search(score_fn, bos, eos, cfg):

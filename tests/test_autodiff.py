@@ -1,12 +1,18 @@
 """Tensor/tape behaviour: exact small cases plus finite-difference oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from scenemt import autodiff as ad
+from scenemt import model as M
 from scenemt.errors import DimensionError, ParseError
+from scenemt.masks import binary_scene_mask
 
-from conftest import grad_check, reference_layer_norm, softmax_rows, sum_all, transpose
+from conftest import (grad_check, keep_graph_backward, reference_layer_norm, softmax_rows,
+                      sum_all, transpose)
+from toydata import copy_task
 
 
 def test_matmul_identity():
@@ -408,6 +414,104 @@ def test_tape_visits_shared_nodes_once():
     z.backward()
     # d/dx of 2x^2 at x=2 is 8; double-counting y's backward would give 16
     np.testing.assert_allclose(x.grad, [[8.0]])
+
+
+def _small_graph():
+    x = ad.Tensor(np.array([[1.0, -2.0], [3.0, 0.5]]), requires_grad=True)
+    w = ad.Tensor(np.array([[0.5, 1.0], [-1.0, 2.0]]), requires_grad=True)
+    h = ad.relu(ad.matmul(x, w))
+    return (x, w), sum_all(ad.mul(h, ad.add(h, x)))
+
+
+def test_backward_releases_every_non_leaf_and_keeps_leaf_gradients():
+    leaves, root = _small_graph()
+    inner = [n for n in ad.Tape.trace(root).nodes if n._parents]
+    assert len(inner) == 5 and root in inner  # matmul, relu, add, mul and the sum
+    root.backward()
+    for node in inner:
+        assert node.grad is None and node._parents == ()
+        assert node._backward is not None  # the raising sentinel, not "nothing to do"
+    for leaf in leaves:
+        assert leaf.grad is not None and leaf.grad.shape == leaf.data.shape
+
+
+def test_replay_empties_its_tape_and_trace_returns_every_node():
+    _, root = _small_graph()
+    root.grad = np.ones_like(root.data)
+    tape = ad.Tape.trace(root)
+    assert len(tape.nodes) == 7  # the 2 leaves and 5 ops
+    tape.replay()
+    assert tape.nodes == []
+
+
+def test_second_backward_through_a_released_graph_raises():
+    (x, _), root = _small_graph()
+    root.backward()
+    first = x.grad.copy()
+    with pytest.raises(RuntimeError, match="released"):
+        root.backward()
+    np.testing.assert_array_equal(x.grad, first)
+
+
+COPY_MODEL = dict(d_model=32, heads=2, d_ff=128, max_len=32)  # criterion 07's model
+COPY_SPECS = (M.sasa_default(), M.sacra_default())
+
+
+def _copy_batch(model):
+    sentences, vocab, covers = copy_task(pairs=16, seed=13)
+    pairs = [(vocab.encode(s), vocab.encode(s)) for s in sentences]
+    masks = [{spec.label: binary_scene_mask(c).values for spec in COPY_SPECS} for c in covers]
+    return M.pad_batch(model, pairs, masks)
+
+
+def _copy_model():
+    cfg = M.ModelConfig(src_vocab=12, trg_vocab=12, **COPY_MODEL)
+    return M.Model(cfg, COPY_SPECS, seed=7)
+
+
+def _copy_loss(model, batch):
+    src, trg_in, gold, masks = batch
+    total = ad.cross_entropy_smoothed(model.forward(src, trg_in, masks), gold, 0.1)
+    return total * (1.0 / int((gold >= 0).sum()))
+
+
+def test_released_replay_gives_bitwise_the_kept_graph_gradients():
+    model = _copy_model()
+    batch = _copy_batch(model)
+    _copy_loss(model, batch).backward()
+    released = {name: t.grad for name, t in model.params.items()}
+    for t in model.params.values():
+        t.grad = None
+    keep_graph_backward(_copy_loss(model, batch))
+    for name, t in model.params.items():
+        np.testing.assert_array_equal(released[name], t.grad, err_msg=name)
+
+
+def test_backward_peak_stays_near_the_forward_graph_and_frees_it():
+    """One criterion-07 step at batch 16, traced: backward frees the graph as it runs.
+
+    Keeping the graph to the end of the pass put the peak at about 1.45x the
+    memory live after the forward pass, and left all of it live afterwards.
+    """
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        model = _copy_model()
+        adam = M.Adam(model.params.values(), *M.ADAM_BETAS, 1e-9)
+        batch = _copy_batch(model)
+        before = tracemalloc.get_traced_memory()[0]
+        loss = _copy_loss(model, batch)
+        forward = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert forward - before > 5e6  # the graph is there to be freed
+    assert peak <= 1.1 * forward
+    assert after - before <= 0.1e6
+    assert np.abs(adam.grad).sum() > 0
 
 
 def test_no_grad_blocks_recording():

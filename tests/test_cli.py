@@ -96,6 +96,17 @@ class TestMasksCommand:
         assert "neg.cover: line 3: #L length must be non-negative" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("main", ["0-300000000", "4", "2-1"],
+                             ids=["huge-range", "index-past-length", "reversed-range"])
+    def test_main_outside_the_cover_exits_3_naming_file_and_line(self, tmp_path, capsys, main):
+        cov = tmp_path / "main.cover"
+        cov.write_text(f"#L 4\nS P main=0 tokens=0,1\nS P main={main} tokens=0,1,2,3\n")
+        code = run(["masks", "--family", "binary", "--cover", cov, "--out", tmp_path / "o"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"main.cover: line 3: main={main} is not an index or range within 0..3" in err
+        assert "Traceback" not in err
+
     def test_missing_input_is_config_error(self, tmp_path):
         code = run(["masks", "--family", "binary", "--out", tmp_path / "o"])
         assert code == 2
@@ -292,6 +303,27 @@ class TestStoredModel:
         model, src_vocab, trg_vocab = cli._load_model_dir(STORED)
         cli._save_model_dir(tmp_path, model, src_vocab, trg_vocab)
         assert (tmp_path / "model.cfg").read_bytes() == (STORED / "model.cfg").read_bytes()
+
+
+GOLDEN_TRAIN = Path(__file__).parent / "data" / "train-67ae48a"
+
+
+class TestGoldenTraining:
+    """A seeded SASA + SACrA training run gives the stored losses and weights, byte for byte."""
+
+    def test_losses_config_and_checkpoint_are_unchanged(self, tmp_path):
+        src, trg, cov = tmp_path / "c.src", tmp_path / "c.trg", tmp_path / "c.cover"
+        write_copy_task(src, trg, cov, pairs=12, seed=3)
+        out = tmp_path / "model"
+        assert run([
+            "train", "--src", src, "--trg", trg, "--cover", cov,
+            "--sasa", "layers=2;heads=1", "--sacra", "layers=1&2;heads=1",
+            "--steps", "60", "--eval-every", "20", "--batch-size", "6", "--seed", "2",
+            "--d-model", "8", "--layers", "2", "--heads", "2", "--d-ff", "16",
+            "--max-len", "16", "--warmup", "100", "--out", out,
+        ]) == 0
+        for name in ("loss.txt", "model.cfg", "checkpoint.ckpt"):
+            assert (out / name).read_bytes() == (GOLDEN_TRAIN / name).read_bytes(), name
 
 
 def _input_files(tmp_path, **texts):
