@@ -719,25 +719,15 @@ def _search(step, bos, eos, cfg):
     first call gets [(bos,)] and [0]). Candidates are ranked by cumulative
     log probability with ties broken toward smaller token ids; a candidate
     emitting `eos` is finalized with score logprob / ((5+len)/6)^alpha,
-    provided it ranks above the point where the live beam fills. If nothing
+    provided it ranks above the point where the live beam fills. The search
+    runs until the beam empties or `max_len` steps pass; if nothing
     finished, the best unfinished hypothesis is returned with finished=False.
-
-    The search runs until the beam empties, `max_len` steps pass, or no live
-    hypothesis can win. Log probabilities are at most 0, so a live prefix of
-    m tokens can finish no higher than lp / reach[m + 1], where reach[n] is
-    the largest penalty for any length from n to `max_len`. Once that bound
-    is strictly below the best finished score for every live prefix, the
-    result cannot change, so the search stops.
     """
-    beam, max_len = cfg.beam, cfg.max_len
-    penalty = [length_penalty(n, cfg.alpha) for n in range(max_len + 1)]
-    reach = penalty[:]
-    for n in range(max_len - 1, 0, -1):
-        reach[n] = max(reach[n], reach[n + 1])
+    beam = cfg.beam
     best = lambda c: (-c[0], c[1])  # higher score first, then smaller token ids
     live = [(0.0, (bos,), 0)]
-    done, best_done = [], -math.inf
-    for n in range(1, max_len + 1):  # every candidate of this step holds n tokens
+    done = []
+    for _ in range(cfg.max_len):
         logp = step([seq for _, seq, _ in live], [row for _, _, row in live])
         top = np.argsort(-logp, axis=-1, kind="stable")[:, :beam]
         candidates = [(lp + float(logp[row, tok]), seq + (int(tok),), row)
@@ -746,17 +736,16 @@ def _search(step, bos, eos, cfg):
         live = []
         for lp, seq, row in candidates:
             if seq[-1] == eos:
-                done.append((lp / penalty[n], seq))
-                best_done = max(best_done, done[-1][0])
+                done.append((lp / length_penalty(len(seq) - 1, cfg.alpha), seq))
             else:
                 live.append((lp, seq, row))
             if len(live) == beam:
                 break
-        if not live or n < max_len and all(lp / reach[n + 1] < best_done for lp, _, _ in live):
+        if not live:
             break
     # each step leaves some candidate live or done, and cfg.max_len >= 1 runs one
-    score, seq = min(done or [(lp / penalty[len(seq) - 1], seq) for lp, seq, _ in live],
-                     key=best)
+    score, seq = min(done or [(lp / length_penalty(len(seq) - 1, cfg.alpha), seq)
+                              for lp, seq, _ in live], key=best)
     return BeamResult(list(seq[1:]), score, bool(done))
 
 

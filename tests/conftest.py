@@ -372,36 +372,6 @@ def reference_layer_norm(x, gain, bias, eps=1e-6):
 # -- search oracles ------------------------------------------------------------------
 
 
-def reference_search(step, bos, eos, cfg):
-    """`model._search` before it stopped early: every beam runs to `max_len` or empties.
-
-    The reference the stop rule must match bitwise, `repr(score)` included.
-    """
-    beam = cfg.beam
-    best = lambda c: (-c[0], c[1])  # higher score first, then smaller token ids
-    live = [(0.0, (bos,), 0)]
-    done = []
-    for _ in range(cfg.max_len):
-        logp = step([seq for _, seq, _ in live], [row for _, _, row in live])
-        top = np.argsort(-logp, axis=-1, kind="stable")[:, :beam]
-        candidates = [(lp + float(logp[row, tok]), seq + (int(tok),), row)
-                      for row, (lp, seq, _) in enumerate(live) for tok in top[row]]
-        candidates.sort(key=best)
-        live = []
-        for lp, seq, row in candidates:
-            if seq[-1] == eos:
-                done.append((lp / length_penalty(len(seq) - 1, cfg.alpha), seq))
-            else:
-                live.append((lp, seq, row))
-            if len(live) == beam:
-                break
-        if not live:
-            break
-    score, seq = min(done or [(lp / length_penalty(len(seq) - 1, cfg.alpha), seq)
-                              for lp, seq, _ in live], key=best)
-    return BeamResult(list(seq[1:]), score, bool(done))
-
-
 def beam_search(score_fn, bos, eos, cfg):
     """Beam search over a prefix scorer, by `model._search`'s rules.
 

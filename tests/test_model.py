@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from scenemt import autodiff as ad
 from scenemt import model as M
@@ -33,7 +32,6 @@ from conftest import (
     beam_search,
     grad_check,
     greedy_decode,
-    reference_search,
     softmax_rows,
     sum_all,
     transpose,
@@ -1091,54 +1089,6 @@ class TestBeamSearch:
     def test_beam_width_one_validated(self):
         with pytest.raises(ConfigError):
             DecodeConfig(beam=0)
-
-    @settings(max_examples=300, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), vocab=st.integers(2, 6),
-           beam=st.integers(1, 5), alpha=st.sampled_from([-1.0, 0.0, 0.6, 3.0]),
-           max_len=st.integers(1, 12), eos_boost=st.sampled_from([0.0, 1.0, 3.0]),
-           coarse=st.booleans())
-    def test_stopping_early_gives_the_reference_result(self, seed, vocab, beam, alpha,
-                                                       max_len, eos_boost, coarse):
-        """Random scorers, some with EOS likely and some with tied log probabilities."""
-        def score(prefixes, _):
-            rows = []
-            for prefix in prefixes:
-                logits = np.random.default_rng([seed, *prefix]).normal(size=vocab)
-                if coarse:  # whole-number logits tie often
-                    logits = np.round(logits)
-                logits[1] += eos_boost
-                rows.append(M.log_softmax(logits))
-            return np.array(rows)
-
-        cfg = DecodeConfig(beam=beam, alpha=alpha, max_len=max_len)
-        new, ref = M._search(score, 0, 1, cfg), reference_search(score, 0, 1, cfg)
-        assert new == ref
-        assert repr(new.score) == repr(ref.score)
-
-    def test_search_stops_once_no_live_hypothesis_can_win(self):
-        # EOS takes 0.9 at once; the live prefixes at log 0.05 cannot catch up
-        score = table_scorer({(9,): [0.05, 0.05, 0.9]}, 3)
-        calls = []
-
-        def step(prefixes, _):
-            calls.append(len(prefixes))
-            return np.array([score(p) for p in prefixes])
-
-        cfg = DecodeConfig(beam=2, alpha=0.6, max_len=10)
-        result = M._search(step, 9, 2, cfg)
-        assert result == reference_search(step, 9, 2, cfg) == M.BeamResult(
-            [2], math.log(0.9), True)
-        assert len(calls) == 1 + cfg.max_len  # one here, every step in the reference
-
-    def test_a_live_prefix_that_can_tie_the_best_keeps_the_search_going(self):
-        # [2] finishes at log 0.5; the live (9, 0) has the same log probability
-        # and then emits EOS with probability 1, tying at log 0.5 and winning
-        # the tie through its smaller token ids
-        score = table_scorer({(9,): [0.5, 1e-9, 0.5], (9, 0): [1e-9, 1e-9, 1.0]}, 3)
-        step = lambda prefixes, _: np.array([score(p) for p in prefixes])
-        cfg = DecodeConfig(beam=2, alpha=0.0, max_len=4)
-        assert M._search(step, 9, 2, cfg) == reference_search(step, 9, 2, cfg) == M.BeamResult(
-            [0, 2], math.log(0.5), True)
 
 
 class TestTranslate:
