@@ -201,11 +201,18 @@ def _mask_records(mask_specs, args, sentences=None):
 
 
 def _build_mask(spec, record, where):
-    """`spec.build(*record)`, naming `where` (the input files and sentence) in a mismatch."""
+    """`spec.build(*record)`, naming `where` (the input files and sentence) in a mismatch
+    or when the mask is too large to allocate."""
     try:
         return spec.build(*record)
     except DimensionError as exc:
         raise DimensionError(f"{where}: {exc}") from None
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses a byte count past its index range with this ValueError and
+        # a failed allocation with MemoryError; any other ValueError is a bug
+        if isinstance(exc, ValueError) and "array is too big" not in str(exc):
+            raise
+        raise DimensionError(f"{where}: mask too large to allocate: {exc}") from None
 
 
 def _spec_masks(specs, sentences, args):

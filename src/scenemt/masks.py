@@ -116,7 +116,7 @@ def _scene_mask(cover, off_scene, family):
     L = cover.length
     values = np.full((L, L), off_scene)
     for scene in cover.scenes:
-        idx = sorted(scene.tokens)
+        idx = sorted(scene)
         values[np.ix_(idx, idx)] = 1.0
     np.fill_diagonal(values, 1.0)
     _ones_for_unassigned(values, cover)

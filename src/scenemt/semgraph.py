@@ -7,18 +7,22 @@ Three line-oriented inputs are understood here:
   ``R`` marks a remote edge), and a closing ``ROOT <node>`` line per graph;
 * scene-cover shortcut files: ``#L <n>`` then one ``S <P|S> main=<i-j|i>
   tokens=<i,j,...>`` line per scene, so tests and the CLI can supply covers
-  without a parser;
-* CoNLL-U, of which only ID and HEAD are consumed.
+  without a parser. Every token lies in 0..n-1 and ``main=`` inside
+  ``tokens=``; a line that breaks either rule raises ParseError naming it;
+* CoNLL-U, of which only ID and HEAD are consumed; IDs run 1, 2, ... in
+  each sentence.
 
 A *scene* is any graph node with an outgoing P or S edge; its token set is
 every terminal reachable from it, remote edges included (that is what lets a
-token belong to several scenes). Tokens reachable only outside all scenes are
-recorded as unassigned.
+token belong to several scenes). A cover keeps only these token sets: the
+main relation (the P or S edge) decides that a scene exists and where it
+sorts, and is not stored. Tokens in no scene are the cover's unassigned.
 
-Costs are linear in the graph: each line is split once, each graph indexes
+Costs are linear in the input: each line is split once, each graph indexes
 its out-edges and their child ids once, reachability walks child-id lists,
-the cycle check is Kahn's in-degree count, and the scene and tree distance
-matrices are filled in array form with no array larger than L x L.
+the cycle check is Kahn's in-degree count, a cover line is checked in
+O(listed tokens), and the scene and tree distance matrices are filled in
+array form with no array larger than L x L.
 """
 
 from __future__ import annotations
@@ -52,8 +56,8 @@ class UccaGraph:
     The indexes (`out_edges`: parent -> its edges in file order;
     `child_ids`: parent -> their child ids) and the terminal map
     (`token_of`: terminal node -> token index) are built at construction,
-    so `children`, `reachable` and `tokens_under` cost what they visit, not
-    a scan of every edge. `edges` must not change afterwards.
+    so `reachable` and `tokens_under` cost what they visit, not a scan of
+    every edge. `edges` must not change afterwards.
     """
 
     nodes: set
@@ -74,11 +78,6 @@ class UccaGraph:
     @property
     def length(self):
         return len(self.terminals)
-
-    def children(self, node_id, remote=True):
-        """Outgoing edges of `node_id` in file order; `remote=False` drops remote ones."""
-        edges = self.out_edges.get(node_id, ())
-        return list(edges) if remote else [e for e in edges if not e.remote]
 
     def validate(self):
         seen_tokens = {}
@@ -142,32 +141,17 @@ class UccaGraph:
         return frozenset(token_of[n] for n in self.reachable(node_id) if n in token_of)
 
 
-@dataclass(frozen=True)
-class Scene:
-    scene_id: int
-    tokens: frozenset
-    main_kind: str  # "P" or "S"
-    main_tokens: frozenset
-
-
 @dataclass
 class SceneCover:
+    """A sentence of `length` tokens and its scenes, each a frozenset of token indices."""
+
     length: int
     scenes: list
-    unassigned: frozenset = frozenset()
 
-    def validate(self):
-        covered = set(self.unassigned)
-        for s in self.scenes:
-            if s.main_kind not in MAIN_RELATION_CATEGORIES:
-                raise StructuralError(f"unknown main-relation kind {s.main_kind!r}")
-            if not s.main_tokens <= s.tokens:
-                raise StructuralError("main relation leaks outside its scene")
-            covered |= s.tokens
-        if covered != set(range(self.length)):
-            raise StructuralError(
-                "scene token sets plus unassigned must cover 0..L-1 exactly"
-            )
+    @property
+    def unassigned(self):
+        """The tokens in no scene."""
+        return frozenset(range(self.length)).difference(*self.scenes)
 
 
 def parse_ucca_file(text):
@@ -236,12 +220,13 @@ def extract_scenes(graph):
     """Split a validated graph into its scene cover.
 
     One scene per node carrying an outgoing P or S edge; two such edges on
-    one node violate the one-main-relation rule.
+    one node violate the one-main-relation rule. Scenes sort by first token
+    covered, then by their main relation's tokens.
     """
-    scenes = []
+    keyed = []
     for node in sorted(graph.out_edges):
         main_edges = [
-            e for e in graph.children(node)
+            e for e in graph.out_edges[node]
             if e.category in MAIN_RELATION_CATEGORIES
         ]
         if not main_edges:
@@ -250,24 +235,11 @@ def extract_scenes(graph):
             raise StructuralError(
                 f"node {node!r} has {len(main_edges)} main-relation edges"
             )
-        main = main_edges[0]
-        scenes.append(
-            (graph.tokens_under(node), main.category, graph.tokens_under(main.child))
-        )
-
-    # deterministic order: by first token covered, then by main relation
-    scenes.sort(key=lambda s: (min(s[0], default=-1), sorted(s[2])))
-    built = [Scene(i, *scene) for i, scene in enumerate(scenes)]
-    assigned = set()
-    for s in built:
-        assigned |= s.tokens
-    cover = SceneCover(
-        length=graph.length,
-        scenes=built,
-        unassigned=frozenset(range(graph.length)) - assigned,
-    )
-    cover.validate()
-    return cover
+        tokens = graph.tokens_under(node)
+        main = graph.tokens_under(main_edges[0].child)
+        keyed.append(((min(tokens, default=-1), sorted(main)), tokens))
+    keyed.sort(key=lambda k: k[0])
+    return SceneCover(graph.length, [tokens for _, tokens in keyed])
 
 
 def scene_distance(cover):
@@ -283,9 +255,10 @@ def scene_distance(cover):
     row is then a running minimum over the scenes that hold the token.
     """
     L, S = cover.length, len(cover.scenes)
+    dist = np.full((L, L), np.inf)  # the largest array first: a size numpy refuses fails here
     member = np.zeros((S, L), dtype=bool)
     for k, scene in enumerate(cover.scenes):
-        member[k, list(scene.tokens)] = True
+        member[k, list(scene)] = True
 
     adjacent = member @ member.T  # a boolean product skips BLAS and its work buffer
     hops = np.where(np.eye(S, dtype=bool), 0.0, np.inf)
@@ -301,7 +274,6 @@ def scene_distance(cover):
     near = np.full((S, L), np.inf)
     for b in range(S):
         near[:, member[b]] = np.minimum(near[:, member[b]], hops[:, b, None])
-    dist = np.full((L, L), np.inf)
     for a in range(S):
         dist[member[a]] = np.minimum(dist[member[a]], near[a])
     return dist
@@ -320,7 +292,7 @@ def sem_split(tokens, cover):
     if len(cover.scenes) <= 1:
         return [list(tokens)]
     return [
-        [tokens[i] for i in sorted(scene.tokens)]
+        [tokens[i] for i in sorted(scene)]
         for scene in cover.scenes
     ]
 
@@ -329,42 +301,29 @@ def sem_split(tokens, cover):
 
 
 def parse_cover_file(text):
-    """Parse one or more `#L` blocks of scene lines into covers."""
+    """Parse one or more `#L` blocks of scene lines into covers.
+
+    Each `S` line is checked as it is read, in O(listed tokens): a kind other
+    than P or S, a token outside 0..#L-1 or a `main=` outside `tokens=`
+    raises ParseError naming the line.
+    """
     covers = []
-    length, raw_scenes = None, []
-
-    def flush():
-        nonlocal length, raw_scenes
-        if length is None:
-            return
-        scenes = [
-            Scene(i, tokens, kind, main)
-            for i, (kind, main, tokens) in enumerate(raw_scenes)
-        ]
-        assigned = set()
-        for s in scenes:
-            assigned |= s.tokens
-        cover = SceneCover(length, scenes, frozenset(range(length)) - assigned)
-        cover.validate()
-        covers.append(cover)
-        length, raw_scenes = None, []
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
         if fields[0] == "#L":
-            flush()
             try:
                 length = int(fields[1])
             except (ValueError, IndexError) as exc:
                 raise ParseError("bad #L header", line=lineno) from exc
             if length < 0:
                 raise ParseError(f"#L length must be non-negative, got {length}", line=lineno)
+            covers.append(SceneCover(length, []))
         elif fields[0] == "S":
-            if length is None:
+            if not covers:
                 raise ParseError("scene line before #L header", line=lineno)
+            length = covers[-1].length
             try:
                 kind = fields[1]
                 opts = dict(f.split("=", 1) for f in fields[2:])
@@ -378,17 +337,20 @@ def parse_cover_file(text):
                 raise ParseError(f"malformed scene line: {exc}", line=lineno) from exc
             if kind not in MAIN_RELATION_CATEGORIES:
                 raise ParseError(f"scene kind must be P or S, got {kind!r}", line=lineno)
-            # checked before the range is built, so a huge bound cannot exhaust memory
             if not 0 <= lo <= hi < length:
                 raise ParseError(f"main={main_spec} is not an index or range within "
                                  f"0..{length - 1}", line=lineno)
-            main = frozenset(range(lo, hi + 1))
-            if max(tokens, default=-1) >= length or min(tokens, default=0) < 0:
-                raise StructuralError(f"scene token outside 0..{length - 1}")
-            raw_scenes.append((kind, main, tokens))
+            outside = [t for t in tokens if not 0 <= t < length]
+            if outside:
+                raise ParseError(f"scene token {min(outside)} outside 0..{length - 1}",
+                                 line=lineno)
+            # a range longer than the token list cannot lie inside it
+            if hi - lo >= len(tokens) or any(t not in tokens for t in range(lo, hi + 1)):
+                raise ParseError(f"main={main_spec} lies outside tokens={opts['tokens']}",
+                                 line=lineno)
+            covers[-1].scenes.append(tokens)
         else:
             raise ParseError(f"unknown record tag {fields[0]!r}", line=lineno)
-    flush()
     return covers
 
 
@@ -454,6 +416,9 @@ def parse_conllu(text):
         tid = cols[0]
         if not tid.isdigit():
             continue  # multiword ranges ("i-j") and empty nodes ("i.j")
+        # a row's position is its id, as the heads below assume
+        if not tid.isdecimal() or int(tid) != len(rows) + 1:
+            raise ParseError(f"token id {tid} where id {len(rows) + 1} belongs", line=lineno)
         try:
             head = int(cols[6])
         except ValueError as exc:

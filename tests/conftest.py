@@ -45,6 +45,27 @@ ROOT root
 TWO_SCENE_TOKENS = "I saw the dog that barked .".split()
 I, SAW, THE, DOG, THAT, BARKED, DOT = range(7)
 
+# Two scenes that both start at token 0: sa {0, 3, 4} with main relation d (3)
+# and sb {0, 1, 2} with main relation c (2). Only the main relation puts sb,
+# the later node, first.
+SHARED_FIRST_TOKEN_GRAPH = """\
+#L 5
+T t0 0 a
+T t1 1 b
+T t2 2 c
+T t3 3 d
+T t4 4 e
+E root sa H
+E root sb H
+E sa t3 P
+E sa t0 A
+E sa t4 A
+E sb t2 P
+E sb t0 A R
+E sb t1 A
+ROOT root
+"""
+
 
 @pytest.fixture
 def two_scene_graph():
@@ -81,16 +102,11 @@ def random_cover(rng, max_len=10, max_scenes=4):
     L = int(rng.integers(2, max_len + 1))
     n_scenes = int(rng.integers(1, max_scenes + 1))
     scenes = []
-    for sid in range(n_scenes):
+    for _ in range(n_scenes):
         size = int(rng.integers(1, L + 1))
-        tokens = frozenset(int(t) for t in rng.choice(L, size=size, replace=False))
-        main = frozenset({min(tokens)})
-        kind = "P" if rng.random() < 0.7 else "S"
-        scenes.append(semgraph.Scene(sid, tokens, kind, main))
-    assigned = frozenset().union(*(s.tokens for s in scenes))
-    cover = semgraph.SceneCover(L, scenes, frozenset(range(L)) - assigned)
-    cover.validate()
-    return cover
+        scenes.append(frozenset(int(t) for t in rng.choice(L, size=size, replace=False)))
+        rng.random()  # the P/S draw: a cover keeps no kind, but each seed keeps its covers
+    return semgraph.SceneCover(L, scenes)
 
 
 # -- mask files -----------------------------------------------------------------
@@ -182,7 +198,7 @@ class SceneGraph:
         adj = [set() for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                if cover.scenes[i].tokens & cover.scenes[j].tokens:
+                if cover.scenes[i] & cover.scenes[j]:
                     adj[i].add(j)
                     adj[j].add(i)
         return cls(n, adj)
@@ -208,7 +224,7 @@ def bfs_scene_distance(cover):
     scene_dist = [sg.distances_from(i) for i in range(sg.n_scenes)]
     token_scenes = [[] for _ in range(L)]
     for idx, s in enumerate(cover.scenes):
-        for t in s.tokens:
+        for t in s:
             token_scenes[t].append(idx)
     for i in range(L):
         for j in range(i, L):
@@ -220,8 +236,8 @@ def bfs_scene_distance(cover):
     return dist
 
 
-def scan_children(graph, node_id, remote=True):
-    return [e for e in graph.edges if e.parent == node_id and (remote or not e.remote)]
+def scan_children(graph, node_id):
+    return [e for e in graph.edges if e.parent == node_id]
 
 
 def scan_tokens_under(graph, node_id):
@@ -249,14 +265,10 @@ def scan_extract_scenes(graph):
             raise StructuralError(
                 f"node {node!r} has {len(main_edges)} main-relation edges"
             )
-        scenes.append((scan_tokens_under(graph, node), main_edges[0].category,
+        scenes.append((scan_tokens_under(graph, node),
                        scan_tokens_under(graph, main_edges[0].child)))
-    scenes.sort(key=lambda s: (min(s[0], default=-1), sorted(s[2])))
-    built = [semgraph.Scene(i, *s) for i, s in enumerate(scenes)]
-    assigned = frozenset().union(*(s.tokens for s in built))
-    cover = semgraph.SceneCover(graph.length, built, frozenset(range(graph.length)) - assigned)
-    cover.validate()
-    return cover
+    scenes.sort(key=lambda s: (min(s[0], default=-1), sorted(s[1])))
+    return semgraph.SceneCover(graph.length, [tokens for tokens, _ in scenes])
 
 
 # -- autodiff references ----------------------------------------------------------

@@ -37,7 +37,6 @@ from scenemt.model import (
 )
 from scenemt.semgraph import (
     ROOT_HEAD,
-    Scene,
     SceneCover,
     scene_distance,
     ud_tree_distances,
@@ -62,14 +61,8 @@ def criterion(number, title):
 def test_criterion_01_two_scene_mask_fixture():
     with criterion(1, "two-scene mask fixture entries are exact"):
         start = time.time()
-        cover = SceneCover(
-            7,
-            [
-                Scene(0, frozenset({0, 1, 2, 3}), "P", frozenset({1})),
-                Scene(1, frozenset({3, 5}), "P", frozenset({5})),
-            ],
-            frozenset({4, 6}),
-        )
+        cover = SceneCover(7, [frozenset({0, 1, 2, 3}), frozenset({3, 5})])
+        assert cover.unassigned == {4, 6}
         m = binary_scene_mask(cover).values
         saw, dog, barked = 1, 3, 5
         assert m[saw, dog] == 1.0
@@ -148,7 +141,7 @@ def bfs_scene_graph_oracle(cover):
     """Token distances via explicit scene graph + BFS, built independently."""
     n = len(cover.scenes)
     adj = [
-        {j for j in range(n) if j != i and cover.scenes[i].tokens & cover.scenes[j].tokens}
+        {j for j in range(n) if j != i and cover.scenes[i] & cover.scenes[j]}
         for i in range(n)
     ]
     scene_dist = np.full((n, n), np.inf)
@@ -163,7 +156,7 @@ def bfs_scene_graph_oracle(cover):
                     frontier.append(v)
     L = cover.length
     owners = [
-        [i for i, s in enumerate(cover.scenes) if t in s.tokens] for t in range(L)
+        [i for i, s in enumerate(cover.scenes) if t in s] for t in range(L)
     ]
     out = np.full((L, L), np.inf)
     for i in range(L):
@@ -205,13 +198,7 @@ def test_criterion_05_distance_oracles():
 def test_criterion_06_mask_value_formulas():
     with criterion(6, "density formula values hit their pinned constants"):
         assert abs(f_norm(0.0, SIGMA_PEAK_ONE) - 1.0) < 1e-12
-        cover = SceneCover(
-            4,
-            [
-                Scene(0, frozenset({0, 1}), "P", frozenset({0})),
-                Scene(1, frozenset({1, 2, 3}), "P", frozenset({2})),
-            ],
-        )
+        cover = SceneCover(4, [frozenset({0, 1}), frozenset({1, 2, 3})])
         nm = normal_scene_mask(cover, 0.5).values
         assert abs(nm[0, 2] - 0.455938) < 1e-6  # scene distance 1
         ud = random_ud_graph(5, np.random.default_rng(6))

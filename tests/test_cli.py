@@ -10,7 +10,7 @@ import pytest
 
 from scenemt import cli
 
-from conftest import TWO_SCENE_GRAPH, read_mask
+from conftest import SHARED_FIRST_TOKEN_GRAPH, TWO_SCENE_GRAPH, read_mask
 from toydata import write_copy_task
 
 
@@ -25,6 +25,8 @@ CONLLU_TEXT = (
     "2\tdog\t_\t_\t_\t_\t3\tnsubj\t_\t_\n"
     "3\tbarked\t_\t_\t_\t_\t0\troot\t_\t_\n"
 )
+
+TREE_ONE_WORD = "1\thi\t_\t_\t_\t_\t0\troot\t_\t_\n\n"
 
 
 def run(argv):
@@ -105,6 +107,59 @@ class TestMasksCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert f"main.cover: line 3: main={main} is not an index or range within 0..3" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line,message", [
+        ("S P main=2 tokens=2,9", "scene token 9 outside 0..3"),
+        ("S P main=3 tokens=0,1,2", "main=3 lies outside tokens=0,1,2"),
+        ("S P main=1-3 tokens=0,1,3", "main=1-3 lies outside tokens=0,1,3"),
+        ("S A main=0 tokens=0", "scene kind must be P or S, got 'A'"),
+    ], ids=["token-past-length", "main-outside-tokens", "main-range-outside-tokens", "kind"])
+    def test_bad_scene_line_exits_3_naming_file_and_line(self, tmp_path, capsys, line, message):
+        cov = tmp_path / "bad.cover"
+        cov.write_text(f"#L 4\nS P main=0 tokens=0,1\n{line}\n")
+        code = run(["masks", "--family", "binary", "--cover", cov, "--out", tmp_path / "o"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"bad.cover: line 3: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("second_id", ["1", "3"], ids=["repeated", "out-of-order"])
+    def test_bad_conllu_id_exits_3_naming_file_line_and_id(self, tmp_path, capsys, second_id):
+        conllu = tmp_path / "bad.conllu"
+        conllu.write_text(CONLLU_TEXT.replace("2\tdog", f"{second_id}\tdog"))
+        code = run(["masks", "--family", "udiscal", "--conllu", conllu, "--out", tmp_path / "o"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"bad.conllu: line 2: token id {second_id} where id 2 belongs" in err
+        assert "Traceback" not in err
+
+    # numpy refuses these sizes before it allocates anything: the byte count
+    # of the mask, or of the subword index it needs, passes the index range
+    @pytest.mark.parametrize("family,texts,flags", [
+        ("binary", dict(huge_cover="#L 4294967296\nS P main=0 tokens=0,5\n"),
+         ["--cover", "huge_cover"]),
+        ("scaled", dict(huge_cover="#L 4294967296\nS P main=0 tokens=0,5\n"),
+         ["--C", "0.1", "--cover", "huge_cover"]),
+        ("normal", dict(huge_cover="#L 4294967296\nS P main=0 tokens=0,5\n"),
+         ["--C", "0.5", "--cover", "huge_cover"]),
+        ("binary", dict(one_cover="#L 1\nS P main=0 tokens=0\n", huge_align=f"{2 ** 61}\n"),
+         ["--cover", "one_cover", "--alignment", "huge_align"]),
+        ("pascal", dict(one_conllu=TREE_ONE_WORD, huge_align=f"{2 ** 61}\n"),
+         ["--conllu", "one_conllu", "--alignment", "huge_align"]),
+        ("udiscal", dict(one_conllu=TREE_ONE_WORD, huge_align=f"{2 ** 61}\n"),
+         ["--conllu", "one_conllu", "--alignment", "huge_align"]),
+    ], ids=["binary", "scaled", "normal", "binary-alignment", "pascal-alignment",
+            "udiscal-alignment"])
+    def test_mask_too_large_to_allocate_exits_3_naming_files_and_sentence(
+            self, tmp_path, capsys, family, texts, flags):
+        paths = _input_files(tmp_path, **texts)
+        argv = ["masks", "--family", family, *[paths.get(f, f) for f in flags],
+                "--out", tmp_path / "o"]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        files = ", ".join(str(p) for p in paths.values())
+        assert f"{files}: sentence 1: mask too large to allocate" in err
         assert "Traceback" not in err
 
     def test_missing_input_is_config_error(self, tmp_path):
@@ -283,6 +338,15 @@ class TestStoredModel:
                     "--out", tmp_path]) == 0
         assert (tmp_path / "hyps.txt").read_bytes() == (STORED / expected).read_bytes()
 
+    def test_split_orders_scenes_sharing_a_first_token_by_main_relation(self, tmp_path):
+        # the pieces "a b c" and "a d e" decode to "d c b f f a" and "d d f"
+        graph, src = tmp_path / "shared.ug", tmp_path / "shared.src"
+        graph.write_text(SHARED_FIRST_TOKEN_GRAPH)
+        src.write_text("a b c d e\n")
+        assert run(["split", "--model", STORED, "--src", src, "--ucca", graph,
+                    "--max-len", "12", "--beam", "4", "--out", tmp_path / "o"]) == 0
+        assert (tmp_path / "o" / "hyps.txt").read_text() == "d c b f f a . d d f\n"
+
     @pytest.mark.parametrize("command", ["translate", "split"])
     @pytest.mark.parametrize("flags,message", [
         (["--beam", "0"], "beam width must be at least 1"),
@@ -332,9 +396,6 @@ def _input_files(tmp_path, **texts):
         paths[name] = tmp_path / name.replace("_", ".")
         paths[name].write_text(text)
     return paths
-
-
-TREE_ONE_WORD = "1\thi\t_\t_\t_\t_\t0\troot\t_\t_\n\n"
 
 
 class TestMaskInputMismatches:

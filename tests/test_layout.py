@@ -1,4 +1,5 @@
-"""Every module, top-level function and class and imported name in the package is used in it.
+"""Every module, top-level function and class, record field and imported name in the
+package is used in it.
 
 A re-export from `__init__.py` is not a caller: the names and modules it
 lists must also be used by the program itself.
@@ -9,9 +10,13 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "scenemt"
 
-# names kept although nothing in the package refers to them
+# names, and Class.field record fields, kept although nothing in the package reads them
 KEPT = {
     "token_accuracy": "the checked accuracy entry point; the benchmark times it as a phase",
+    "BeamResult.finished": "the benchmark's decode checks read it, and per-sentence decode "
+                           "telemetry will record it",
+    "TrainResult.stopped_early": "the benchmark's time-to-accuracy run reads it to tell "
+                                 "whether training reached its target accuracy",
 }
 # modules the program starts from rather than imports
 ENTRY_MODULES = {"__init__", "__main__", "cli"}
@@ -40,6 +45,29 @@ def test_every_top_level_name_is_used():
         and not node.name.startswith("cmd_")
     ]
     assert not unused, f"defined but called from nowhere in the package: {unused}"
+
+
+def _is_record(cls):
+    """Whether a class definition is a dataclass or a NamedTuple."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return (any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+            or any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases))
+
+
+def test_every_record_field_is_read():
+    trees = _trees()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [
+        f"{module}:{cls.name}.{stmt.target.id}"
+        for module, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and _is_record(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read and f"{cls.name}.{stmt.target.id}" not in KEPT
+    ]
+    assert not unread, f"record fields no attribute access in the package reads: {unread}"
 
 
 def test_every_module_is_imported_by_another():

@@ -23,7 +23,7 @@ from scenemt.masks import (
     udiscal_mask,
     write_mask,
 )
-from scenemt.semgraph import ROOT_HEAD, Scene, SceneCover, UdGraph, ud_tree_distances
+from scenemt.semgraph import ROOT_HEAD, SceneCover, UdGraph, ud_tree_distances
 
 from conftest import (
     BARKED, DOG, I, SAW,
@@ -41,7 +41,7 @@ def brute_force_binary(cover):
     for i in range(cover.length):
         for j in range(cover.length):
             if i == j or any(
-                i in s.tokens and j in s.tokens for s in cover.scenes
+                i in s and j in s for s in cover.scenes
             ):
                 m[i, j] = 1.0
     for t in cover.unassigned:
@@ -81,7 +81,7 @@ class TestBinaryMask:
 
     def test_single_scene_is_all_ones(self):
         # `scenemt split` masks each scene piece with np.ones, for every scene family
-        cover = SceneCover(4, [Scene(0, frozenset(range(4)), "P", frozenset({0}))])
+        cover = SceneCover(4, [frozenset(range(4))])
         ones = np.ones((4, 4)).tobytes()
         assert binary_scene_mask(cover).values.tobytes() == ones
         for c in (1e-6, 0.1, 0.5, 0.999):
@@ -90,11 +90,7 @@ class TestBinaryMask:
             assert normal_scene_mask(cover, c).values.tobytes() == ones
 
     def test_three_scene_chain_matches_brute_force(self):
-        scenes = [
-            Scene(0, frozenset({0, 1}), "P", frozenset({0})),
-            Scene(1, frozenset({1, 2, 3}), "P", frozenset({2})),
-            Scene(2, frozenset({3, 4}), "S", frozenset({4})),
-        ]
+        scenes = [frozenset({0, 1}), frozenset({1, 2, 3}), frozenset({3, 4})]
         cover = SceneCover(5, scenes)
         np.testing.assert_array_equal(
             binary_scene_mask(cover).values, brute_force_binary(cover)
@@ -160,10 +156,7 @@ class TestNormalMask:
         assert m[SAW, BARKED] == pytest.approx(0.207880, abs=1e-6)
 
     def test_disconnected_scenes_give_exact_zero(self):
-        scenes = [
-            Scene(0, frozenset({0, 1}), "P", frozenset({0})),
-            Scene(1, frozenset({2, 3}), "P", frozenset({2})),
-        ]
+        scenes = [frozenset({0, 1}), frozenset({2, 3})]
         m = normal_scene_mask(SceneCover(4, scenes), 0.5).values
         assert m[0, 2] == 0.0 and m[1, 3] == 0.0
 
@@ -180,11 +173,8 @@ class TestNormalMask:
 
     def test_binary_equivalence_when_distances_are_zero_or_inf(self):
         # two disconnected scene clusters: distances are only 0 or inf
-        scenes = [
-            Scene(0, frozenset({0, 1}), "P", frozenset({0})),
-            Scene(1, frozenset({2, 3}), "S", frozenset({2})),
-        ]
-        cover = SceneCover(5, scenes, frozenset({4}))
+        cover = SceneCover(5, [frozenset({0, 1}), frozenset({2, 3})])
+        assert cover.unassigned == {4}
         nm = normal_scene_mask(cover, 0.7).values
         bm = binary_scene_mask(cover).values
         np.testing.assert_array_equal(nm, bm)

@@ -15,7 +15,6 @@ from scenemt.masks import binary_scene_mask, write_mask
 from scenemt.errors import DimensionError, ParseError, StructuralError
 from scenemt.semgraph import (
     ROOT_HEAD,
-    Scene,
     SceneCover,
     extract_scenes,
     parse_conllu,
@@ -28,6 +27,7 @@ from scenemt.semgraph import (
 
 from conftest import (
     BARKED, DOG, DOT, I, SAW, THAT, THE,
+    SHARED_FIRST_TOKEN_GRAPH,
     TWO_SCENE_TOKENS,
     SceneGraph,
     bfs_scene_distance,
@@ -104,15 +104,11 @@ class TestExtractScenes:
     def test_two_scene_fixture(self, two_scene_cover):
         cover = two_scene_cover
         assert len(cover.scenes) == 2
-        first, second = cover.scenes
-        assert first.tokens == frozenset({I, SAW, THE, DOG})
-        assert first.main_kind == "P" and first.main_tokens == {SAW}
-        assert second.tokens == frozenset({DOG, BARKED})
-        assert second.main_kind == "P" and second.main_tokens == {BARKED}
+        assert cover.scenes == [frozenset({I, SAW, THE, DOG}), frozenset({DOG, BARKED})]
         assert cover.unassigned == {THAT, DOT}
 
     def test_shared_token_is_in_both(self, two_scene_cover):
-        shared = two_scene_cover.scenes[0].tokens & two_scene_cover.scenes[1].tokens
+        shared = two_scene_cover.scenes[0] & two_scene_cover.scenes[1]
         assert shared == {DOG}
 
     def test_coordination_scenes_share_the_subject(self):
@@ -130,10 +126,11 @@ class TestExtractScenes:
         )
         (g,) = parse_ucca_file(text)
         cover = extract_scenes(g)
-        assert [sorted(s.tokens) for s in cover.scenes] == [
+        # both scenes start at "He": the main relations, "said" (1) before
+        # "left" (4), decide the order
+        assert [sorted(s) for s in cover.scenes] == [
             [0, 1, 2], [0, 4, 5, 6],
         ]
-        assert [sorted(s.main_tokens) for s in cover.scenes] == [[1], [4]]
         assert cover.unassigned == {3, 7}
 
         from scenemt.masks import binary_scene_mask
@@ -144,6 +141,14 @@ class TestExtractScenes:
         assert m[said, left] == 0.0
         assert scene_distance(cover)[said, left] == 1
 
+    def test_scenes_sharing_a_first_token_sort_by_main_relation(self):
+        (g,) = parse_ucca_file(SHARED_FIRST_TOKEN_GRAPH)
+        assert extract_scenes(g).scenes == [frozenset({0, 1, 2}), frozenset({0, 3, 4})]
+        # swapping the main relations swaps the order
+        swapped = SHARED_FIRST_TOKEN_GRAPH.replace("E sa t3 P\nE sa t0 A", "E sa t3 A\nE sa t0 P")
+        (g,) = parse_ucca_file(swapped)
+        assert extract_scenes(g).scenes == [frozenset({0, 3, 4}), frozenset({0, 1, 2})]
+
     def test_single_state_scene_covers_everything(self):
         text = (
             "#L 3\nT t0 0 a\nT t1 1 is\nT t2 2 b\n"
@@ -151,9 +156,11 @@ class TestExtractScenes:
         )
         (g,) = parse_ucca_file(text)
         cover = extract_scenes(g)
-        assert len(cover.scenes) == 1
-        assert cover.scenes[0].main_kind == "S"
+        # an S edge makes a scene as a P edge does
+        assert cover.scenes == [frozenset({0, 1, 2})]
         assert cover.unassigned == frozenset()
+        (unit,) = parse_ucca_file(text.replace("E s t1 S", "E s t1 A"))
+        assert extract_scenes(unit).scenes == []
 
     def test_double_main_relation_rejected(self):
         text = (
@@ -199,13 +206,13 @@ class TestExtractScenes:
             (
                 dfs_tokens(n)
                 for n in g.nodes
-                if any(e.category in ("P", "S") for e in g.children(n))
+                if any(e.category in ("P", "S") for e in g.out_edges.get(n, ()))
             ),
             key=sorted,
         )
-        assert sorted((s.tokens for s in cover.scenes), key=sorted) == expected
-        assert cover.scenes[0].tokens & cover.scenes[1].tokens == {1}
-        assert cover.scenes[1].tokens & cover.scenes[2].tokens == {3}
+        assert sorted(cover.scenes, key=sorted) == expected
+        assert cover.scenes[0] & cover.scenes[1] == {1}
+        assert cover.scenes[1] & cover.scenes[2] == {3}
 
     def test_cover_reunion_is_exact(self):
         rng = np.random.default_rng(0)
@@ -213,7 +220,7 @@ class TestExtractScenes:
             cover = random_cover(rng)
             union = set(cover.unassigned)
             for s in cover.scenes:
-                union |= s.tokens
+                union |= s
             assert union == set(range(cover.length))
 
 
@@ -281,8 +288,7 @@ class TestEdgeIndex:
         for _ in range(60):
             (g,) = parse_ucca_file(random_ucca_text(rng, int(rng.integers(1, 48))))
             for n in sorted(g.nodes):
-                for remote in (True, False):
-                    assert list(g.children(n, remote)) == scan_children(g, n, remote)
+                assert g.out_edges.get(n, []) == scan_children(g, n)
                 assert g.tokens_under(n) == scan_tokens_under(g, n)
 
     def test_extract_scenes_matches_edge_scans(self):
@@ -417,15 +423,11 @@ class TestSceneDistance:
         assert np.isinf(d[THAT, SAW])
 
     def test_single_scene_all_zero(self):
-        cover = SceneCover(3, [Scene(0, frozenset({0, 1, 2}), "P", frozenset({0}))])
+        cover = SceneCover(3, [frozenset({0, 1, 2})])
         assert (scene_distance(cover) == 0).all()
 
     def test_three_scene_chain_matches_bfs_oracle(self):
-        scenes = [
-            Scene(0, frozenset({0, 1}), "P", frozenset({0})),
-            Scene(1, frozenset({1, 2}), "P", frozenset({2})),
-            Scene(2, frozenset({2, 3}), "P", frozenset({3})),
-        ]
+        scenes = [frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})]
         cover = SceneCover(4, scenes)
         d = scene_distance(cover)
         assert d[0, 3] == 2  # scene1 -> scene2 -> scene3
@@ -453,8 +455,8 @@ class TestSceneDistance:
             )
             for i in range(cover.length):
                 for j in range(cover.length):
-                    owners_i = [k for k, s in enumerate(cover.scenes) if i in s.tokens]
-                    owners_j = [k for k, s in enumerate(cover.scenes) if j in s.tokens]
+                    owners_i = [k for k, s in enumerate(cover.scenes) if i in s]
+                    owners_j = [k for k, s in enumerate(cover.scenes) if j in s]
                     if not owners_i or not owners_j:
                         assert np.isinf(d[i, j])
                     else:
@@ -494,13 +496,14 @@ class TestSceneDistance:
                             assert sd[i, j] <= sd[i, k] + sd[k, j]
 
     def test_scene_ids_need_not_match_list_positions(self):
-        scenes = [
-            Scene(7, frozenset({0, 1}), "P", frozenset({0})),
-            Scene(3, frozenset({1, 2}), "P", frozenset({2})),
-        ]
-        d = scene_distance(SceneCover(3, scenes))
+        # a scene is known only by its place in the list, and the order of
+        # the list does not change any distance
+        scenes = [frozenset({0, 1}), frozenset({1, 2}), frozenset({3})]
+        d = scene_distance(SceneCover(4, scenes))
         assert d[0, 1] == 0
         assert d[0, 2] == 1
+        assert np.isinf(d[0, 3])
+        np.testing.assert_array_equal(scene_distance(SceneCover(4, scenes[::-1])), d)
 
     def test_zero_iff_shared_scene(self):
         rng = np.random.default_rng(3)
@@ -510,7 +513,7 @@ class TestSceneDistance:
             for i in range(cover.length):
                 for j in range(cover.length):
                     shared = any(
-                        i in s.tokens and j in s.tokens for s in cover.scenes
+                        i in s and j in s for s in cover.scenes
                     )
                     assert (d[i, j] == 0) == shared
 
@@ -524,7 +527,7 @@ class TestSceneDistance:
             L = int(rng.integers(1, 129))
             n_scenes = 0 if case % 6 == 0 else int(rng.integers(1, 13))
             scenes, start = [], int(rng.integers(L))
-            for sid in range(n_scenes):
+            for _ in range(n_scenes):
                 if case % 2:
                     width = int(rng.integers(1, 12))
                     tokens = frozenset(range(start, start + width)) & frozenset(range(L))
@@ -533,10 +536,8 @@ class TestSceneDistance:
                 else:
                     size = int(rng.integers(1, min(L, 16) + 1))
                     tokens = frozenset(int(t) for t in rng.choice(L, size=size, replace=False))
-                scenes.append(Scene(sid, tokens, "P", frozenset({min(tokens)})))
-            assigned = frozenset().union(*(s.tokens for s in scenes))
-            cover = SceneCover(L, scenes, frozenset(range(L)) - assigned)
-            cover.validate()
+                scenes.append(tokens)
+            cover = SceneCover(L, scenes)
             d = scene_distance(cover)
             np.testing.assert_array_equal(d, bfs_scene_distance(cover))
             if n_scenes == 0:
@@ -554,11 +555,12 @@ class TestSemSplit:
         assert pieces == [["I", "saw", "the", "dog"], ["dog", "barked"]]
 
     def test_single_scene_identity(self):
-        cover = SceneCover(3, [Scene(0, frozenset({0, 1, 2}), "P", frozenset({1}))])
+        cover = SceneCover(3, [frozenset({0, 1, 2})])
         assert sem_split(["a", "b", "c"], cover) == [["a", "b", "c"]]
 
     def test_empty_cover_returns_input(self):
-        cover = SceneCover(2, [], frozenset({0, 1}))
+        cover = SceneCover(2, [])
+        assert cover.unassigned == {0, 1}
         assert sem_split(["x", "y"], cover) == [["x", "y"]]
 
     def test_output_count_and_token_union(self):
@@ -573,7 +575,7 @@ class TestSemSplit:
             assert len(pieces) == len(cover.scenes)
             got = set().union(*(set(p) for p in pieces))
             expected = {
-                f"w{i}" for s in cover.scenes for i in s.tokens
+                f"w{i}" for s in cover.scenes for i in s
             }
             assert got == expected
 
@@ -593,22 +595,26 @@ class TestCoverFiles:
             "S P main=5 tokens=3,5\n"
         )
         (cover,) = parse_cover_file(text)
-        assert [s.tokens for s in cover.scenes] == [
-            s.tokens for s in two_scene_cover.scenes
-        ]
+        assert cover == two_scene_cover
         assert cover.unassigned == two_scene_cover.unassigned
 
     def test_main_span_syntax(self):
         (cover,) = parse_cover_file("#L 4\nS S main=1-2 tokens=0,1,2,3\n")
-        assert cover.scenes[0].main_tokens == frozenset({1, 2})
+        assert cover.scenes == [frozenset({0, 1, 2, 3})]
+        (cover,) = parse_cover_file("#L 4\nS S main=1-2 tokens=3,2,1\n")
+        assert cover.scenes == [frozenset({1, 2, 3})]
+        with pytest.raises(ParseError, match="line 2: main=1-2 lies outside tokens=0,1,3"):
+            parse_cover_file("#L 4\nS S main=1-2 tokens=0,1,3\n")
 
     def test_main_outside_tokens_rejected(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(ParseError, match="line 2: main=2 lies outside tokens=0,1"):
             parse_cover_file("#L 3\nS P main=2 tokens=0,1\n")
 
     def test_token_out_of_range_rejected(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(ParseError, match=r"line 2: scene token 5 outside 0\.\.1"):
             parse_cover_file("#L 2\nS P main=0 tokens=0,5\n")
+        with pytest.raises(ParseError, match=r"line 3: scene token -1 outside 0\.\.1"):
+            parse_cover_file("#L 2\n\nS P main=0 tokens=0,-1\n")
 
 
 # -- dependency trees -----------------------------------------------------------
@@ -645,6 +651,17 @@ class TestConllu:
     def test_head_out_of_range_rejected(self):
         text = "1\tonly\t_\t_\t_\t_\t9\tdep\t_\t_\n"
         with pytest.raises(ParseError):
+            parse_conllu(text)
+
+    @pytest.mark.parametrize("ids,line,message", [
+        ("1 1", 2, "token id 1 where id 2 belongs"),
+        ("2 1", 1, "token id 2 where id 1 belongs"),
+        ("1 3", 2, "token id 3 where id 2 belongs"),
+        ("1 ²", 2, "token id ² where id 2 belongs"),
+    ], ids=["repeated", "swapped", "gap", "superscript"])
+    def test_ids_out_of_sequence_rejected_naming_line_and_id(self, ids, line, message):
+        text = "".join(f"{i}\tw\t_\t_\t_\t_\t{h}\tdep\t_\t_\n" for i, h in zip(ids.split(), "01"))
+        with pytest.raises(ParseError, match=f"line {line}: {message}"):
             parse_conllu(text)
 
     def test_multiple_roots_rejected(self):

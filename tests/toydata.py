@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from scenemt.semgraph import Scene, SceneCover
+from scenemt.semgraph import SceneCover
 from scenemt.textpipe import RESERVED, Vocab
 
 SYMBOLS = tuple("abcdefgh")
@@ -37,16 +37,9 @@ def copy_task(pairs=200, min_len=3, max_len=8, seed=13):
 def split_cover(n):
     """A two-scene cover of n tokens sharing the middle token."""
     if n < 3:
-        scenes = [Scene(0, frozenset(range(n)), "P", frozenset({0}))]
-    else:
-        mid = n // 2
-        scenes = [
-            Scene(0, frozenset(range(mid + 1)), "P", frozenset({0})),
-            Scene(1, frozenset(range(mid, n)), "P", frozenset({n - 1})),
-        ]
-    cover = SceneCover(n, scenes, frozenset())
-    cover.validate()
-    return cover
+        return SceneCover(n, [frozenset(range(n))])
+    mid = n // 2
+    return SceneCover(n, [frozenset(range(mid + 1)), frozenset(range(mid, n))])
 
 
 def write_copy_task(src_path, trg_path, cover_path, **kwargs):
@@ -59,8 +52,9 @@ def write_copy_task(src_path, trg_path, cover_path, **kwargs):
     with open(cover_path, "w", encoding="utf-8") as fh:
         for cover in covers:
             fh.write(f"#L {cover.length}\n")
-            for s in cover.scenes:
-                toks = ",".join(str(t) for t in sorted(s.tokens))
-                main = min(s.main_tokens)
-                fh.write(f"S {s.main_kind} main={main} tokens={toks}\n")
+            # the main relation is the first token of the only or front scene,
+            # and the last token of the back scene
+            for k, tokens in enumerate(cover.scenes):
+                toks = ",".join(str(t) for t in sorted(tokens))
+                fh.write(f"S P main={max(tokens) if k else min(tokens)} tokens={toks}\n")
     return sentences, vocab, covers
