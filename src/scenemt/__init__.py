@@ -2,18 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .masks import (  # noqa: F401
-    Alignment,
-    Mask,
-    MaskSpec,
-    binary_scene_mask,
-    expand_to_subwords,
-    f_norm,
-    normal_scene_mask,
-    pascal_mask,
-    scaled_scene_mask,
-    udiscal_mask,
-)
+from .masks import Mask, MaskSpec, expand_to_subwords, f_norm  # noqa: F401
 from .model import (  # noqa: F401
     DecodeConfig,
     HeadSpec,

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__, autodiff, masks as masks_mod, metrics, semgraph, model as model_mod
 from .errors import (
-    AlignmentError,
     ConfigError,
     DimensionError,
     NumericError,
@@ -29,7 +28,7 @@ from .errors import (
     SceneMtError,
     StructuralError,
 )
-from .masks import Alignment, MaskSpec
+from .masks import MaskSpec
 from .model import DecodeConfig, HeadSpec, ModelConfig, TrainConfig
 from .semgraph import extract_scenes, parse_cover_file, parse_ucca_file, sem_split
 from .textpipe import Vocab
@@ -61,18 +60,19 @@ def _read_sentences(path):
 
 
 def _read_alignments(path):
-    """An Alignment per non-blank line of subword counts per word."""
+    """Per non-blank line, the tuple of its words' subword counts, as Python ints."""
     def parse(p):
         aligns = []
         for lineno, line in enumerate(_utf8(p).splitlines(), start=1):
             if not line.strip():
                 continue
             try:
-                aligns.append(Alignment.from_counts([int(x) for x in line.split()]))
+                counts = tuple(int(x) for x in line.split())
             except ValueError as exc:
                 raise ParseError("alignment counts must be integers", line=lineno) from exc
-            except AlignmentError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
+            if min(counts) < 1:
+                raise ParseError("every word needs at least one subword", line=lineno)
+            aligns.append(counts)
         return aligns
 
     return _read_file(path, parse)
@@ -161,7 +161,7 @@ def _collect_specs(args):
 
 
 def _mask_records(mask_specs, args, sentences=None):
-    """One (cover, tree, alignment) record per input sentence, from the mask-input flags,
+    """One (cover, tree, subword counts) record per input sentence, from the mask-input flags,
     and the names of the files read.
 
     Only the inputs some MaskSpec needs are read, and a record holds None for
@@ -188,7 +188,7 @@ def _mask_records(mask_specs, args, sentences=None):
                                  f"of {source}")
     if aligns is not None:  # a subword source
         path, what = args.alignment, "alignment describes {} subwords"
-        sizes = [a.n_subwords for a in aligns]
+        sizes = [sum(counts) for counts in aligns]
     else:
         path, what = args.cover or args.ucca, "cover describes {} tokens"
         sizes = [c.length for c in covers or ()]
@@ -207,11 +207,7 @@ def _build_mask(spec, record, where):
         return spec.build(*record)
     except DimensionError as exc:
         raise DimensionError(f"{where}: {exc}") from None
-    except (MemoryError, ValueError) as exc:
-        # numpy refuses a byte count past its index range with this ValueError and
-        # a failed allocation with MemoryError; any other ValueError is a bug
-        if isinstance(exc, ValueError) and "array is too big" not in str(exc):
-            raise
+    except MemoryError as exc:
         raise DimensionError(f"{where}: mask too large to allocate: {exc}") from None
 
 

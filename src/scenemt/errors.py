@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the toolkit.
 
 The CLI maps these onto exit codes: ConfigError -> 2 (usage),
-ParseError / StructuralError / AlignmentError / UndefinedResultError -> 3
+ParseError / StructuralError / DimensionError / UndefinedResultError -> 3
 (bad input), NumericError -> 4.
 """
 
@@ -30,10 +30,6 @@ class ConfigError(SceneMtError):
 
 class DimensionError(SceneMtError):
     """Shape or length mismatch between related objects."""
-
-
-class AlignmentError(SceneMtError):
-    """Word/subword alignment cannot be established."""
 
 
 class UndefinedResultError(SceneMtError):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -575,7 +575,6 @@ class TrainResult:
     model: Model
     losses: list
     accuracy: float = None
-    accuracy_history: list = field(default_factory=list)
     steps_run: int = 0
     stopped_early: bool = False
 
@@ -685,7 +684,6 @@ def train(pairs, model_cfg, train_cfg, head_specs=(), mask_provider=None):
         result.steps_run = step
         if train_cfg.eval_every and step % train_cfg.eval_every == 0:
             acc = _accuracy(model, pairs, provider)
-            result.accuracy_history.append((step, acc))
             result.accuracy = acc
             if train_cfg.target_accuracy and acc >= train_cfg.target_accuracy:
                 result.stopped_early = True

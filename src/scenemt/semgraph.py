@@ -255,7 +255,7 @@ def scene_distance(cover):
     row is then a running minimum over the scenes that hold the token.
     """
     L, S = cover.length, len(cover.scenes)
-    dist = np.full((L, L), np.inf)  # the largest array first: a size numpy refuses fails here
+    dist = np.full((L, L), np.inf)
     member = np.zeros((S, L), dtype=bool)
     for k, scene in enumerate(cover.scenes):
         member[k, list(scene)] = True
@@ -366,9 +366,6 @@ class UdGraph:
         roots = [i for i, h in enumerate(self.heads) if h == ROOT_HEAD]
         if len(roots) != 1:
             raise StructuralError(f"expected exactly one root, found {len(roots)}")
-        for i, h in enumerate(self.heads):
-            if h != ROOT_HEAD and not (0 <= h < self.length):
-                raise ParseError(f"head index {h} out of range for token {i}")
         # walking up from every token must reach the root without revisits
         for i in range(self.length):
             seen = set()

@@ -158,7 +158,7 @@ def unique_write_mask(mask):
     distinct = values.reshape(-1)[first].tolist()
     text = np.array([f"{v:.9g}" for v in distinct], dtype=object)
     rows = text[where.reshape(values.shape)].tolist()
-    lines = [f"M {mask.rows} {mask.cols} {mask.family}"]
+    lines = [f"M {values.shape[0]} {values.shape[1]} {mask.family}"]
     lines.extend(" ".join(row) for row in rows)
     return "\n".join(lines) + "\n"
 

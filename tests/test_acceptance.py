@@ -17,14 +17,7 @@ import pytest
 from scenemt import autodiff as ad
 from scenemt import cli
 from scenemt import model as M
-from scenemt.masks import (
-    MaskSpec,
-    SIGMA_PEAK_ONE,
-    binary_scene_mask,
-    f_norm,
-    normal_scene_mask,
-    udiscal_mask,
-)
+from scenemt.masks import MaskSpec, SIGMA_PEAK_ONE, f_norm
 from scenemt.metrics import bleu, chrf, sign_test
 from scenemt.model import (
     DecodeConfig,
@@ -63,7 +56,7 @@ def test_criterion_01_two_scene_mask_fixture():
         start = time.time()
         cover = SceneCover(7, [frozenset({0, 1, 2, 3}), frozenset({3, 5})])
         assert cover.unassigned == {4, 6}
-        m = binary_scene_mask(cover).values
+        m = MaskSpec("binary").build(cover=cover).values
         saw, dog, barked = 1, 3, 5
         assert m[saw, dog] == 1.0
         assert m[dog, barked] == 1.0
@@ -199,10 +192,10 @@ def test_criterion_06_mask_value_formulas():
     with criterion(6, "density formula values hit their pinned constants"):
         assert abs(f_norm(0.0, SIGMA_PEAK_ONE) - 1.0) < 1e-12
         cover = SceneCover(4, [frozenset({0, 1}), frozenset({1, 2, 3})])
-        nm = normal_scene_mask(cover, 0.5).values
+        nm = MaskSpec("normal", 0.5).build(cover=cover).values
         assert abs(nm[0, 2] - 0.455938) < 1e-6  # scene distance 1
         ud = random_ud_graph(5, np.random.default_rng(6))
-        um = udiscal_mask(ud).values
+        um = MaskSpec("udiscal").build(ud=ud).values
         assert abs(um[0, 0] - 0.398942) < 1e-6
 
 
@@ -214,7 +207,7 @@ COPY_TRAIN = dict(steps=2000, batch_size=16, seed=7, warmup=400,
 def run_copy_task(specs):
     sentences, vocab, covers = copy_task(pairs=200, seed=13)
     pairs = [(vocab.encode(s), vocab.encode(s)) for s in sentences]
-    mask_list = [binary_scene_mask(c).values for c in covers]
+    mask_list = [MaskSpec("binary").build(cover=c).values for c in covers]
     labels = {spec.label for spec in specs}
     provider = lambda i: {label: mask_list[i] for label in labels}
     cfg = ModelConfig(src_vocab=len(vocab), trg_vocab=len(vocab), **COPY_MODEL)

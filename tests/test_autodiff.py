@@ -8,7 +8,7 @@ import pytest
 from scenemt import autodiff as ad
 from scenemt import model as M
 from scenemt.errors import DimensionError, ParseError
-from scenemt.masks import binary_scene_mask
+from scenemt.masks import MaskSpec
 
 from conftest import (grad_check, keep_graph_backward, reference_layer_norm, softmax_rows,
                       sum_all, transpose)
@@ -460,7 +460,8 @@ COPY_SPECS = (M.sasa_default(), M.sacra_default())
 def _copy_batch(model):
     sentences, vocab, covers = copy_task(pairs=16, seed=13)
     pairs = [(vocab.encode(s), vocab.encode(s)) for s in sentences]
-    masks = [{spec.label: binary_scene_mask(c).values for spec in COPY_SPECS} for c in covers]
+    masks = [{spec.label: MaskSpec("binary").build(cover=c).values for spec in COPY_SPECS}
+             for c in covers]
     return M.pad_batch(model, pairs, masks)
 
 

@@ -69,7 +69,7 @@ class TestMasksCommand:
         assert "C" in capsys.readouterr().err
 
     def test_udiscal_from_conllu_matches_library(self, tmp_path):
-        from scenemt.masks import udiscal_mask
+        from scenemt.masks import MaskSpec
         from scenemt.semgraph import parse_conllu
 
         conllu = tmp_path / "toy.conllu"
@@ -77,7 +77,7 @@ class TestMasksCommand:
         out = tmp_path / "out"
         assert run(["masks", "--family", "udiscal", "--conllu", conllu, "--out", out]) == 0
         got = read_mask((out / "mask_0000.mask").read_text())
-        expected = udiscal_mask(parse_conllu(CONLLU_TEXT)[0])
+        expected = MaskSpec("udiscal").build(ud=parse_conllu(CONLLU_TEXT)[0])
         np.testing.assert_allclose(got.values, expected.values, atol=1e-8)
 
     def test_parse_error_exits_3_naming_file_and_line(self, tmp_path, capsys):
@@ -134,8 +134,25 @@ class TestMasksCommand:
         assert f"bad.conllu: line 2: token id {second_id} where id 2 belongs" in err
         assert "Traceback" not in err
 
-    # numpy refuses these sizes before it allocates anything: the byte count
-    # of the mask, or of the subword index it needs, passes the index range
+    @pytest.mark.parametrize("rows,message", [
+        ({2: "7"}, "bad.conllu: line 2: head index 7 out of range"),
+        ({2: "x"}, "bad.conllu: line 2: non-integer HEAD 'x'"),
+        ({1: "0", 3: "2"}, "bad.conllu: head links form a cycle"),
+    ], ids=["head-out-of-range", "non-integer-head", "head-cycle"])
+    def test_bad_conllu_head_exits_3(self, tmp_path, capsys, rows, message):
+        lines = [line.split("\t") for line in CONLLU_TEXT.splitlines()]
+        for lineno, head in rows.items():
+            lines[lineno - 1][6] = head
+        conllu = tmp_path / "bad.conllu"
+        conllu.write_text("".join("\t".join(cols) + "\n" for cols in lines))
+        code = run(["masks", "--family", "udiscal", "--conllu", conllu, "--out", tmp_path / "o"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    # each mask's byte count passes numpy's index range, so it is refused by its size
+    # before anything is allocated
     @pytest.mark.parametrize("family,texts,flags", [
         ("binary", dict(huge_cover="#L 4294967296\nS P main=0 tokens=0,5\n"),
          ["--cover", "huge_cover"]),
@@ -149,8 +166,17 @@ class TestMasksCommand:
          ["--conllu", "one_conllu", "--alignment", "huge_align"]),
         ("udiscal", dict(one_conllu=TREE_ONE_WORD, huge_align=f"{2 ** 61}\n"),
          ["--conllu", "one_conllu", "--alignment", "huge_align"]),
+        ("binary", dict(huge_cover=f"#L {10 ** 20}\nS P main=0 tokens=0,5\n"),
+         ["--cover", "huge_cover"]),
+        ("binary", dict(one_cover="#L 1\nS P main=0 tokens=0\n", huge_align=f"{10 ** 20}\n"),
+         ["--cover", "one_cover", "--alignment", "huge_align"]),
+        ("pascal", dict(one_conllu=TREE_ONE_WORD, huge_align=f"{10 ** 20}\n"),
+         ["--conllu", "one_conllu", "--alignment", "huge_align"]),
+        ("udiscal", dict(one_conllu=TREE_ONE_WORD, huge_align=f"{10 ** 20}\n"),
+         ["--conllu", "one_conllu", "--alignment", "huge_align"]),
     ], ids=["binary", "scaled", "normal", "binary-alignment", "pascal-alignment",
-            "udiscal-alignment"])
+            "udiscal-alignment", "binary-past-int64", "binary-alignment-past-int64",
+            "pascal-alignment-past-int64", "udiscal-alignment-past-int64"])
     def test_mask_too_large_to_allocate_exits_3_naming_files_and_sentence(
             self, tmp_path, capsys, family, texts, flags):
         paths = _input_files(tmp_path, **texts)

@@ -12,7 +12,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "scenemt"
 
 # names, and Class.field record fields, kept although nothing in the package reads them
 KEPT = {
-    "token_accuracy": "the checked accuracy entry point; the benchmark times it as a phase",
+    "token_accuracy": "the checked accuracy entry point, which the tests call; train calls "
+                      "the unchecked _accuracy",
     "BeamResult.finished": "the benchmark's decode checks read it, and per-sentence decode "
                            "telemetry will record it",
     "TrainResult.stopped_early": "the benchmark's time-to-accuracy run reads it to tell "
@@ -55,9 +56,15 @@ def _is_record(cls):
 
 
 def test_every_record_field_is_read():
+    """A field is read by some attribute load; `x.field.append(...)` only writes it."""
     trees = _trees()
-    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    appended = {id(node.func.value) for node in nodes
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "append"}
+    read = {node.attr for node in nodes
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in appended}
     unread = [
         f"{module}:{cls.name}.{stmt.target.id}"
         for module, tree in trees.items()

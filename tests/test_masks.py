@@ -8,20 +8,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from scenemt import masks
-from scenemt.errors import AlignmentError, ConfigError, DimensionError, ParseError
+from scenemt.errors import ConfigError, DimensionError, ParseError
 from scenemt.masks import (
-    Alignment,
-    Mask,
-    MaskSpec,
-    SIGMA_PEAK_ONE,
-    binary_scene_mask,
-    expand_to_subwords,
-    f_norm,
-    normal_scene_mask,
-    pascal_mask,
-    scaled_scene_mask,
-    udiscal_mask,
-    write_mask,
+    FAMILIES, Mask, MaskSpec, SIGMA_PEAK_ONE, expand_to_subwords, f_norm, write_mask,
 )
 from scenemt.semgraph import ROOT_HEAD, SceneCover, UdGraph, ud_tree_distances
 
@@ -66,14 +55,10 @@ class TestFNorm:
             )
             np.testing.assert_allclose(f_norm(xs, sigma), expected, rtol=1e-12)
 
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(ConfigError):
-            f_norm(1.0, 0.0)
-
 
 class TestBinaryMask:
     def test_fixture_entries(self, two_scene_cover):
-        m = binary_scene_mask(two_scene_cover).values
+        m = MaskSpec("binary").build(cover=two_scene_cover).values
         assert m[SAW, DOG] == 1.0
         assert m[DOG, BARKED] == 1.0
         assert m[SAW, BARKED] == 0.0
@@ -83,17 +68,17 @@ class TestBinaryMask:
         # `scenemt split` masks each scene piece with np.ones, for every scene family
         cover = SceneCover(4, [frozenset(range(4))])
         ones = np.ones((4, 4)).tobytes()
-        assert binary_scene_mask(cover).values.tobytes() == ones
+        assert MaskSpec("binary").build(cover=cover).values.tobytes() == ones
         for c in (1e-6, 0.1, 0.5, 0.999):
-            assert scaled_scene_mask(cover, c).values.tobytes() == ones
+            assert MaskSpec("scaled", c).build(cover=cover).values.tobytes() == ones
         for c in (1e-6, 0.5, 1.0, 7.0, 1e300):
-            assert normal_scene_mask(cover, c).values.tobytes() == ones
+            assert MaskSpec("normal", c).build(cover=cover).values.tobytes() == ones
 
     def test_three_scene_chain_matches_brute_force(self):
         scenes = [frozenset({0, 1}), frozenset({1, 2, 3}), frozenset({3, 4})]
         cover = SceneCover(5, scenes)
         np.testing.assert_array_equal(
-            binary_scene_mask(cover).values, brute_force_binary(cover)
+            MaskSpec("binary").build(cover=cover).values, brute_force_binary(cover)
         )
 
     def test_random_covers_match_brute_force(self):
@@ -101,13 +86,13 @@ class TestBinaryMask:
         for _ in range(50):
             cover = random_cover(rng)
             np.testing.assert_array_equal(
-                binary_scene_mask(cover).values, brute_force_binary(cover)
+                MaskSpec("binary").build(cover=cover).values, brute_force_binary(cover)
             )
 
     def test_symmetric_binary_unit_diagonal(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            m = binary_scene_mask(random_cover(rng)).values
+            m = MaskSpec("binary").build(cover=random_cover(rng)).values
             np.testing.assert_array_equal(m, m.T)
             assert set(np.unique(m)) <= {0.0, 1.0}
             np.testing.assert_array_equal(np.diag(m), 1.0)
@@ -115,49 +100,49 @@ class TestBinaryMask:
 
 class TestScaledMask:
     def test_fixture_entries(self, two_scene_cover):
-        m = scaled_scene_mask(two_scene_cover, 0.1).values
+        m = MaskSpec("scaled", 0.1).build(cover=two_scene_cover).values
         assert m[SAW, BARKED] == pytest.approx(0.1)
         assert m[DOG, BARKED] == 1.0
 
     def test_value_set_is_c_and_one(self, two_scene_cover):
         for c in (0.05, 0.1, 0.15, 0.2, 0.3, 0.5):
-            m = scaled_scene_mask(two_scene_cover, c).values
+            m = MaskSpec("scaled", c).build(cover=two_scene_cover).values
             assert set(np.unique(m)) == {c, 1.0}
 
     def test_unassigned_rows_stay_one(self, two_scene_cover):
-        m = scaled_scene_mask(two_scene_cover, 0.3).values
+        m = MaskSpec("scaled", 0.3).build(cover=two_scene_cover).values
         for t in two_scene_cover.unassigned:
             np.testing.assert_array_equal(m[t, :], 1.0)
             np.testing.assert_array_equal(m[:, t], 1.0)
 
     @pytest.mark.parametrize("c", [0.0, 1.0, -0.2, 1.5])
-    def test_rejects_out_of_range_c(self, two_scene_cover, c):
-        with pytest.raises(ConfigError):
-            scaled_scene_mask(two_scene_cover, c)
+    def test_rejects_out_of_range_c(self, c):
+        with pytest.raises(ConfigError, match=r"scaled mask needs C in \(0,1\)"):
+            MaskSpec("scaled", c)
 
     def test_symmetric_on_random_covers(self):
         rng = np.random.default_rng(21)
         for _ in range(15):
-            m = scaled_scene_mask(random_cover(rng), 0.2).values
+            m = MaskSpec("scaled", 0.2).build(cover=random_cover(rng)).values
             np.testing.assert_array_equal(m, m.T)
 
 
 class TestNormalMask:
     def test_shared_scene_gives_one(self, two_scene_cover):
-        m = normal_scene_mask(two_scene_cover, 0.5).values
+        m = MaskSpec("normal", 0.5).build(cover=two_scene_cover).values
         assert m[I, DOG] == 1.0
 
     def test_distance_one_value(self, two_scene_cover):
-        m = normal_scene_mask(two_scene_cover, 0.5).values
+        m = MaskSpec("normal", 0.5).build(cover=two_scene_cover).values
         assert m[SAW, BARKED] == pytest.approx(0.455938, abs=1e-6)
 
     def test_sqrt_half_value(self, two_scene_cover):
-        m = normal_scene_mask(two_scene_cover, math.sqrt(0.5)).values
+        m = MaskSpec("normal", math.sqrt(0.5)).build(cover=two_scene_cover).values
         assert m[SAW, BARKED] == pytest.approx(0.207880, abs=1e-6)
 
     def test_disconnected_scenes_give_exact_zero(self):
         scenes = [frozenset({0, 1}), frozenset({2, 3})]
-        m = normal_scene_mask(SceneCover(4, scenes), 0.5).values
+        m = MaskSpec("normal", 0.5).build(cover=SceneCover(4, scenes)).values
         assert m[0, 2] == 0.0 and m[1, 3] == 0.0
 
     def test_monotone_in_distance_and_c(self):
@@ -175,18 +160,14 @@ class TestNormalMask:
         # two disconnected scene clusters: distances are only 0 or inf
         cover = SceneCover(5, [frozenset({0, 1}), frozenset({2, 3})])
         assert cover.unassigned == {4}
-        nm = normal_scene_mask(cover, 0.7).values
-        bm = binary_scene_mask(cover).values
+        nm = MaskSpec("normal", 0.7).build(cover=cover).values
+        bm = MaskSpec("binary").build(cover=cover).values
         np.testing.assert_array_equal(nm, bm)
-
-    def test_rejects_non_positive_c(self, two_scene_cover):
-        with pytest.raises(ConfigError):
-            normal_scene_mask(two_scene_cover, 0.0)
 
     def test_symmetric_on_random_covers(self):
         rng = np.random.default_rng(22)
         for _ in range(15):
-            m = normal_scene_mask(random_cover(rng), 0.5).values
+            m = MaskSpec("normal", 0.5).build(cover=random_cover(rng)).values
             np.testing.assert_array_equal(m, m.T)
 
 
@@ -194,21 +175,20 @@ class TestPascalMask:
     def test_single_subword_parent_column_values(self):
         # token 1's parent is token 3; parent occupies subword 3 exactly
         ud = UdGraph(5, [3, 3, 3, ROOT_HEAD, 3])
-        m = pascal_mask(ud).values
+        m = MaskSpec("pascal").build(ud=ud).values
         assert m[1, 3] == pytest.approx(0.398942, abs=1e-6)
         assert m[1, 4] == pytest.approx(0.241971, abs=1e-6)
 
     def test_one_token_sentence(self):
         ud = UdGraph(1, [ROOT_HEAD])
-        m = pascal_mask(ud).values
+        m = MaskSpec("pascal").build(ud=ud).values
         assert m.shape == (1, 1)
         assert m[0, 0] == pytest.approx(0.398942, abs=1e-6)
 
     def test_fractional_midpoint_peak(self):
         # word 1 spans subwords 2..3 and is everyone's parent
         ud = UdGraph(2, [1, ROOT_HEAD])
-        align = Alignment(((0, 1), (2, 3)))
-        m = pascal_mask(ud, align).values
+        m = MaskSpec("pascal").build(ud=ud, counts=(2, 2)).values
         # rows of word 0 center on p=2.5
         assert m[0, 2] == pytest.approx(0.352065, abs=1e-6)
         assert m[0, 3] == pytest.approx(0.352065, abs=1e-6)
@@ -220,53 +200,62 @@ class TestPascalMask:
             n = int(rng.integers(2, 9))
             ud = random_ud_graph(n, rng)
             counts = [int(rng.integers(1, 3)) for _ in range(n)]
-            align = Alignment.from_counts(counts)
-            m = pascal_mask(ud, align).values
-            owner = align.word_of()
-            for t in range(align.n_subwords):
-                w = owner[t]
+            m = MaskSpec("pascal").build(ud=ud, counts=counts).values
+            spans = word_spans(counts)
+            n_subwords = sum(counts)
+            for w, (start, end) in enumerate(spans):
                 parent = ud.heads[w] if ud.heads[w] != ROOT_HEAD else w
-                p = align.midpoint(parent)
-                best = np.flatnonzero(m[t] == m[t].max())
+                p = sum(spans[parent]) / 2.0
                 nearest = {
-                    int(j) for j in range(align.n_subwords)
-                    if abs(j - p) == min(abs(jj - p) for jj in range(align.n_subwords))
+                    j for j in range(n_subwords)
+                    if abs(j - p) == min(abs(jj - p) for jj in range(n_subwords))
                 }
-                assert set(best) == nearest
+                for t in range(start, end + 1):
+                    assert set(np.flatnonzero(m[t] == m[t].max())) == nearest
 
     def test_row_mass_bounded(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             ud = random_ud_graph(int(rng.integers(2, 10)), rng)
-            m = pascal_mask(ud).values
+            m = MaskSpec("pascal").build(ud=ud).values
             assert (m.sum(axis=1) <= 1.0 + f_norm(0.0, 1.0)).all()
 
     def test_word_count_mismatch_rejected(self):
         ud = UdGraph(3, [ROOT_HEAD, 0, 0])
-        with pytest.raises(DimensionError):
-            pascal_mask(ud, Alignment.from_counts([1, 1]))
+        with pytest.raises(DimensionError, match="alignment covers 2 words, tree has 3"):
+            MaskSpec("pascal").build(ud=ud, counts=(1, 1))
 
     def test_is_bitwise_the_per_word_loop(self):
         rng = np.random.default_rng(14)
         for _ in range(200):
             ud = random_ud_graph(int(rng.integers(1, 40)), rng)
-            align = (None if rng.random() < 0.25 else
-                     Alignment.from_counts(rng.integers(1, 5, size=ud.length).tolist()))
-            got = pascal_mask(ud, align).values
-            expected = per_word_pascal_values(ud, align or Alignment.identity(ud.length))
+            counts = (None if rng.random() < 0.25 else
+                      tuple(rng.integers(1, 5, size=ud.length).tolist()))
+            got = MaskSpec("pascal").build(ud=ud, counts=counts).values
+            expected = per_word_pascal_values(ud, counts or (1,) * ud.length)
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
 
 
-def per_word_pascal_values(ud, align):
-    """Reference for `pascal_mask`: one `f_norm` call per word, copied to its subwords."""
-    n = align.n_subwords
+def word_spans(counts):
+    """Each word's inclusive subword span (start, end), found by a plain running total."""
+    spans, start = [], 0
+    for count in counts:
+        spans.append((start, start + count - 1))
+        start += count
+    return spans
+
+
+def per_word_pascal_values(ud, counts):
+    """Reference for the pascal family: one `f_norm` call per word, centered on the
+    midpoint (start + end) / 2 of its parent's span, copied to its subwords."""
+    spans = word_spans(counts)
+    n = sum(counts)
     positions = np.arange(n, dtype=np.float64)
     values = np.empty((n, n))
-    for w in range(ud.length):
+    for w, (start, end) in enumerate(spans):
         parent = ud.heads[w] if ud.heads[w] >= 0 else w
-        row = f_norm(positions - align.midpoint(parent), 1.0)
-        start, end = align.ranges[w]
+        row = f_norm(positions - sum(spans[parent]) / 2.0, 1.0)
         values[start:end + 1, :] = row
     return values
 
@@ -274,7 +263,7 @@ def per_word_pascal_values(ud, align):
 class TestUdiscalMask:
     def test_self_and_neighbour_values(self):
         ud = UdGraph(2, [ROOT_HEAD, 0])
-        m = udiscal_mask(ud).values
+        m = MaskSpec("udiscal").build(ud=ud).values
         assert m[0, 0] == pytest.approx(0.398942, abs=1e-6)
         assert m[0, 1] == pytest.approx(0.241971, abs=1e-6)
 
@@ -286,27 +275,27 @@ class TestUdiscalMask:
             oracle = floyd_warshall(8, edges)
             np.testing.assert_array_equal(ud_tree_distances(ud), oracle)
             np.testing.assert_allclose(
-                udiscal_mask(ud).values, f_norm(oracle, 1.0), rtol=1e-12
+                MaskSpec("udiscal").build(ud=ud).values, f_norm(oracle, 1.0), rtol=1e-12
             )
 
     def test_symmetry(self):
         rng = np.random.default_rng(15)
         for _ in range(10):
             ud = random_ud_graph(int(rng.integers(2, 10)), rng)
-            m = udiscal_mask(ud).values
+            m = MaskSpec("udiscal").build(ud=ud).values
             np.testing.assert_array_equal(m, m.T)
 
 
 class TestExpandToSubwords:
     def test_identity_alignment_is_noop(self):
         rng = np.random.default_rng(16)
-        wm = Mask(rng.random((4, 4)))
-        out = expand_to_subwords(wm, Alignment.identity(4))
+        wm = Mask(rng.random((4, 4)), "udiscal")
+        out = expand_to_subwords(wm, (1, 1, 1, 1))
         np.testing.assert_array_equal(out.values, wm.values)
 
     def test_block_expansion(self):
-        wm = Mask(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        out = expand_to_subwords(wm, Alignment.from_counts([2, 1])).values
+        wm = Mask(np.array([[1.0, 0.0], [0.0, 1.0]]), "binary")
+        out = expand_to_subwords(wm, (2, 1)).values
         expected = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1.0]])
         np.testing.assert_array_equal(out, expected)
 
@@ -314,41 +303,33 @@ class TestExpandToSubwords:
         rng = np.random.default_rng(17)
         for _ in range(20):
             n = 4
-            wm = Mask(rng.random((n, n)))
+            wm = Mask(rng.random((n, n)), "udiscal")
             counts = [int(rng.integers(1, 4)) for _ in range(n)]
-            align = Alignment.from_counts(counts)
-            out = expand_to_subwords(wm, align).values
-            owner = align.word_of()
-            for a in range(align.n_subwords):
-                for b in range(align.n_subwords):
+            out = expand_to_subwords(wm, counts).values
+            owner = [w for w, count in enumerate(counts) for _ in range(count)]
+            assert out.shape == (len(owner), len(owner))
+            for a in range(len(owner)):
+                for b in range(len(owner)):
                     assert out[a, b] == wm.values[owner[a], owner[b]]
 
     def test_preserves_symmetry_and_value_set(self):
         rng = np.random.default_rng(18)
         wm = rng.random((3, 3))
-        wm = Mask((wm + wm.T) / 2)
-        out = expand_to_subwords(wm, Alignment.from_counts([2, 3, 1])).values
+        wm = Mask((wm + wm.T) / 2, "udiscal")
+        out = expand_to_subwords(wm, (2, 3, 1)).values
         np.testing.assert_array_equal(out, out.T)
         assert set(np.unique(out)) == set(np.unique(wm.values))
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
-            expand_to_subwords(Mask(np.ones((2, 3))), Alignment.identity(2))
+            expand_to_subwords(Mask(np.ones((2, 3)), "binary"), (1, 1))
 
-
-class TestAlignment:
-    def test_rejects_gaps(self):
-        with pytest.raises(AlignmentError):
-            Alignment(((0, 1), (3, 4)))
-
-    def test_rejects_overlap(self):
-        with pytest.raises(AlignmentError):
-            Alignment(((0, 2), (2, 3)))
-
-    def test_from_counts_roundtrip(self):
-        align = Alignment.from_counts([1, 3, 2])
-        assert align.ranges == ((0, 0), (1, 3), (4, 5))
-        assert align.n_subwords == 6
+    def test_counts_give_contiguous_word_spans(self):
+        # words of 1, 3 and 2 subwords own subwords 0, 1..3 and 4..5
+        out = expand_to_subwords(Mask(np.diag([1.0, 2.0, 3.0]), "udiscal"), (1, 3, 2)).values
+        assert out.shape == (6, 6)
+        assert np.diag(out).tolist() == [1.0, 2.0, 2.0, 2.0, 3.0, 3.0]
+        assert word_spans((1, 3, 2)) == [(0, 0), (1, 3), (4, 5)]
 
 
 class TestMaskSpec:
@@ -373,14 +354,27 @@ class TestMaskSpec:
         with pytest.raises(ConfigError):
             MaskSpec("scaled", math.nan)
 
+    @pytest.mark.parametrize("spec", [MaskSpec("binary"), MaskSpec("scaled", 0.1),
+                                      MaskSpec("normal", 0.5), MaskSpec("pascal"),
+                                      MaskSpec("udiscal")], ids=FAMILIES)
+    def test_refuses_a_mask_too_large_to_allocate_by_its_side(self, spec):
+        # 8 * side**2 bytes past the index range, with no array allocated
+        one_word = dict(cover=SceneCover(1, [frozenset({0})]), ud=UdGraph(1, [ROOT_HEAD]))
+        for side in (2 ** 30, 2 ** 61, 10 ** 20):
+            with pytest.raises(DimensionError, match=f"too large to allocate: {side} x {side}$"):
+                spec.build(counts=(side,), **one_word)
+        if spec.needs_cover:
+            with pytest.raises(DimensionError, match="too large to allocate"):
+                spec.build(cover=SceneCover(10 ** 20, []), counts=(1,))
+
 
 class TestMaskFiles:
     def test_roundtrip_within_tolerance(self, two_scene_cover):
         rng = np.random.default_rng(19)
         cases = [
-            binary_scene_mask(two_scene_cover),
-            scaled_scene_mask(two_scene_cover, 0.15),
-            normal_scene_mask(two_scene_cover, 0.5),
+            MaskSpec("binary").build(cover=two_scene_cover),
+            MaskSpec("scaled", 0.15).build(cover=two_scene_cover),
+            MaskSpec("normal", 0.5).build(cover=two_scene_cover),
             Mask(rng.random((5, 5)), "udiscal"),
         ]
         for mask in cases:
@@ -389,18 +383,18 @@ class TestMaskFiles:
             np.testing.assert_allclose(again.values, mask.values, atol=1e-8)
 
     def test_header_shape(self, two_scene_cover):
-        text = write_mask(binary_scene_mask(two_scene_cover))
+        text = write_mask(MaskSpec("binary").build(cover=two_scene_cover))
         assert text.splitlines()[0] == "M 7 7 binary"
 
     def test_values_in_unit_interval_all_families(self, two_scene_cover):
         rng = np.random.default_rng(20)
         ud = random_ud_graph(6, rng)
         for mask in (
-            binary_scene_mask(two_scene_cover),
-            scaled_scene_mask(two_scene_cover, 0.05),
-            normal_scene_mask(two_scene_cover, math.sqrt(0.5)),
-            pascal_mask(ud),
-            udiscal_mask(ud),
+            MaskSpec("binary").build(cover=two_scene_cover),
+            MaskSpec("scaled", 0.05).build(cover=two_scene_cover),
+            MaskSpec("normal", math.sqrt(0.5)).build(cover=two_scene_cover),
+            MaskSpec("pascal").build(ud=ud),
+            MaskSpec("udiscal").build(ud=ud),
         ):
             assert mask.values.min() >= 0.0
             assert mask.values.max() <= 1.0
@@ -422,7 +416,8 @@ class TestMaskFiles:
 
 def per_value_write_mask(mask):
     """Reference: the mask-file text with every value formatted on its own."""
-    lines = [f"M {mask.rows} {mask.cols} {mask.family}"]
+    rows, cols = mask.values.shape
+    lines = [f"M {rows} {cols} {mask.family}"]
     for row in mask.values:
         lines.append(" ".join(f"{v:.9g}" for v in row))
     return "\n".join(lines) + "\n"
@@ -433,12 +428,12 @@ class TestWriteMaskText:
         rng = np.random.default_rng(21)
         ud = random_ud_graph(9, rng)
         for mask in (
-            binary_scene_mask(two_scene_cover),
-            scaled_scene_mask(two_scene_cover, 0.1),
-            normal_scene_mask(two_scene_cover, 0.5),
-            pascal_mask(ud),
-            udiscal_mask(ud),
-            expand_to_subwords(udiscal_mask(ud), Alignment.from_counts([1, 2] * 4 + [3])),
+            MaskSpec("binary").build(cover=two_scene_cover),
+            MaskSpec("scaled", 0.1).build(cover=two_scene_cover),
+            MaskSpec("normal", 0.5).build(cover=two_scene_cover),
+            MaskSpec("pascal").build(ud=ud),
+            MaskSpec("udiscal").build(ud=ud),
+            expand_to_subwords(MaskSpec("udiscal").build(ud=ud), (1, 2) * 4 + (3,)),
         ):
             assert write_mask(mask) == per_value_write_mask(mask), mask.family
 
@@ -483,10 +478,10 @@ class TestWriteMaskAgainstUnique:
     def test_every_family_at_subword_resolution(self, two_scene_cover):
         rng = np.random.default_rng(22)
         ud = random_ud_graph(7, rng)
-        align = Alignment.from_counts([1, 3, 1, 2, 1, 1, 2])
+        counts = (1, 3, 1, 2, 1, 1, 2)
         for spec in (MaskSpec("binary"), MaskSpec("scaled", 0.1), MaskSpec("normal", 0.5),
                      MaskSpec("pascal"), MaskSpec("udiscal")):
-            mask = spec.build(cover=two_scene_cover, ud=ud, align=align)
+            mask = spec.build(cover=two_scene_cover, ud=ud, counts=counts)
             assert write_mask(mask) == unique_write_mask(mask), spec.family
 
     @settings(max_examples=100, deadline=None)

@@ -26,7 +26,6 @@ from scenemt.model import (
     translate,
 )
 from scenemt.textpipe import BOS, EOS, PAD
-from scenemt.masks import binary_scene_mask
 
 from conftest import (
     beam_search,
@@ -607,7 +606,7 @@ class TestTraining:
     def make_task(self, n_pairs=24, seed=0):
         sents, vocab, covers = copy_task(pairs=n_pairs, seed=seed)
         pairs = [(vocab.encode(s), vocab.encode(s)) for s in sents]
-        mask_list = [binary_scene_mask(c).values for c in covers]
+        mask_list = [MaskSpec("binary").build(cover=c).values for c in covers]
         return pairs, vocab, (lambda i: {"sasa": mask_list[i], "sacra": mask_list[i]})
 
     def test_loss_curve_is_deterministic(self):
@@ -713,7 +712,8 @@ class TestTraining:
         # into `linear` and the residual adds into `layer_norm`
         sents, vocab, covers = copy_task(pairs=16, seed=13)
         pairs = [(vocab.encode(s), vocab.encode(s)) for s in sents]
-        masks = [{"sasa": m, "sacra": m} for m in (binary_scene_mask(c).values for c in covers)]
+        masks = [{"sasa": m, "sacra": m}
+                 for m in (MaskSpec("binary").build(cover=c).values for c in covers)]
         cfg = ModelConfig(src_vocab=len(vocab), trg_vocab=len(vocab), d_model=32, heads=2,
                           d_ff=128, max_len=32)
         model = Model(cfg, [M.sasa_default(), M.sacra_default()], seed=7)
@@ -871,7 +871,7 @@ class TestBatchedForward:
     def test_dropped_graph_is_freed_without_the_collector(self):
         sents, vocab, covers = copy_task(pairs=1, min_len=8, max_len=8, seed=5)
         src = vocab.encode(sents[0])
-        mask = binary_scene_mask(covers[0]).values
+        mask = MaskSpec("binary").build(cover=covers[0]).values
         cfg = ModelConfig(src_vocab=len(vocab), trg_vocab=len(vocab), d_model=32,
                           heads=2, d_ff=128, max_len=32)
         model = Model(cfg, [M.sasa_default(), M.sacra_default()], seed=7)

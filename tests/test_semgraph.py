@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from scenemt import cli, semgraph
-from scenemt.masks import binary_scene_mask, write_mask
+from scenemt.masks import MaskSpec, write_mask
 from scenemt.errors import DimensionError, ParseError, StructuralError
 from scenemt.semgraph import (
     ROOT_HEAD,
@@ -133,9 +133,7 @@ class TestExtractScenes:
         ]
         assert cover.unassigned == {3, 7}
 
-        from scenemt.masks import binary_scene_mask
-
-        m = binary_scene_mask(cover).values
+        m = MaskSpec("binary").build(cover=cover).values
         he, said, left = 0, 1, 4
         assert m[he, said] == 1.0 and m[he, left] == 1.0
         assert m[said, left] == 0.0
@@ -408,7 +406,7 @@ class TestUgFuzz:
         for i, (g, cover) in enumerate(zip(parse_ucca_file(text), covers)):
             assert extract_scenes(g) == cover
             written = (out / f"mask_{i:04d}.mask").read_text(encoding="utf-8")
-            assert written == write_mask(binary_scene_mask(cover))
+            assert written == write_mask(MaskSpec("binary").build(cover=cover))
         assert len(list(out.glob("*.mask"))) == len(covers)
 
 
