@@ -1,8 +1,11 @@
 """Command-line pipeline: masks, train, translate, evaluate, split, compare.
 
-Every run writes a manifest (key=value lines, including the exact argv) next
-to its outputs; `scenemt rerun <manifest>` replays a run, optionally into a
-different output directory, and must reproduce the outputs byte for byte.
+`main` runs subcommand NAME as `cmd_NAME(args, out)`. It makes the `--out`
+directory `out` first, and then writes there the run's manifest: key=value
+lines holding the command, the exact argv, every argument and the (key,
+value) results the command returns. `scenemt rerun <manifest>` replays a
+run's argv, optionally into a different output directory, and must
+reproduce the outputs byte for byte.
 
 Exit codes: 0 success, 2 usage/config error, 3 input or parse error,
 4 numeric failure.
@@ -66,10 +69,11 @@ def _read_alignments(path):
         for lineno, line in enumerate(_utf8(p).splitlines(), start=1):
             if not line.strip():
                 continue
-            try:
-                counts = tuple(int(x) for x in line.split())
-            except ValueError as exc:
-                raise ParseError("alignment counts must be integers", line=lineno) from exc
+            fields = line.split()
+            # int() would also take '+1', '1_0' and non-ASCII digits
+            if not all(x.isascii() and x.isdigit() for x in fields):
+                raise ParseError("alignment counts must be integers", line=lineno)
+            counts = tuple(map(int, fields))
             if min(counts) < 1:
                 raise ParseError("every word needs at least one subword", line=lineno)
             aligns.append(counts)
@@ -95,18 +99,12 @@ def _load_trees(args):
     return _read_file(args.conllu, lambda p: semgraph.parse_conllu(_utf8(p)))
 
 
-def _write_manifest(out_dir, command, argv, args, results=()):
-    lines = [f"tool=scenemt {__version__}", f"command={command}",
+def _write_manifest(out, argv, args, results):
+    lines = [f"tool=scenemt {__version__}", f"command={args.command}",
              f"argv={shlex.join(argv)}"]
     lines += [f"arg.{key}={value}" for key, value in sorted(vars(args).items())]
     lines += [f"result.{key}={value}" for key, value in results]
-    (Path(out_dir) / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _out_dir(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # -- head-spec flags ------------------------------------------------------------
@@ -138,26 +136,18 @@ def _spec_fields(text, keys):
     return fields
 
 
-def _parse_placement(spec_str, default, c_flag):
+def _parse_placement(spec_str, default):
     """Override a default placement from head-spec text (see _spec_fields)."""
     fields = _spec_fields(spec_str or "", PLACEMENT_KEYS)
-    family = fields.get("family", default.mask.family)
-    c = fields.get("C")
-    if c is None:
-        # the bare --C flag only applies where the family takes a scale
-        scaled = c_flag is not None and family in ("scaled", "normal")
-        c = c_flag if scaled else default.mask.c
+    mask = MaskSpec(fields.get("family", default.mask.family), fields.get("C", default.mask.c))
     return HeadSpec(default.site, fields.get("layers", default.layers),
-                    fields.get("heads", default.heads), MaskSpec(family, c),
-                    fields.get("label", default.label))
+                    fields.get("heads", default.heads), mask, fields.get("label", default.label))
 
 
 def _collect_specs(args):
-    flags = ((args.sasa, model_mod.sasa_default, args.C),
-             (args.sacra, model_mod.sacra_default, args.C),
-             (args.pascal, model_mod.pascal_default, None),
-             (args.udiscal, model_mod.udiscal_default, None))
-    return [_parse_placement(text, default(), c) for text, default, c in flags if text is not None]
+    flags = ((args.sasa, model_mod.sasa_default), (args.sacra, model_mod.sacra_default),
+             (args.pascal, model_mod.pascal_default), (args.udiscal, model_mod.udiscal_default))
+    return [_parse_placement(text, default()) for text, default in flags if text is not None]
 
 
 def _mask_records(mask_specs, args, sentences=None):
@@ -268,7 +258,7 @@ def _load_model_dir(path):
         try:
             if key == "headspec":
                 specs.append(_stored_spec(value))
-            elif key in known and key not in fields and value.isdecimal():
+            elif key in known and key not in fields and value.isascii() and value.isdigit():
                 fields[key] = int(value)
             elif line.strip():
                 raise ConfigError(f"{line!r} is neither headspec= nor a new field=<integer>")
@@ -289,28 +279,25 @@ def _load_model_dir(path):
 
 
 # -- commands --------------------------------------------------------------------
+# each writes its outputs to `out` and returns its manifest's results (see main)
 
 
-def cmd_masks(args, argv):
+def cmd_masks(args, out):
     spec = MaskSpec(args.family, args.C)
-    out = _out_dir(args)
     records, files = _mask_records([spec], args)
     for i, record in enumerate(records):
         text = masks_mod.write_mask(_build_mask(spec, record, f"{files}: sentence {i + 1}"))
         (out / f"mask_{i:04d}.mask").write_text(text, encoding="utf-8")
-    _write_manifest(out, "masks", argv, args, [("count", len(records))])
     print(f"wrote {len(records)} mask files to {out}")
-    return 0
+    return [("count", len(records))]
 
 
-def cmd_train(args, argv):
-    out = _out_dir(args)
+def cmd_train(args, out):
     src_sents = _read_sentences(args.src)
     trg_sents = _read_sentences(args.trg)
     if len(src_sents) != len(trg_sents):
-        raise DimensionError(
-            f"{len(src_sents)} source vs {len(trg_sents)} target sentences"
-        )
+        raise DimensionError(f"{args.src} holds {len(src_sents)} sentences, "
+                             f"{args.trg} holds {len(trg_sents)}")
     _check_corpus(args.src, src_sents, args.max_len)
     # the decoder reads BOS before the target's first token
     _check_corpus(args.trg, trg_sents, args.max_len, reserved=1)
@@ -323,43 +310,25 @@ def cmd_train(args, argv):
         (src_vocab.encode(s), trg_vocab.encode(t))
         for s, t in zip(src_sents, trg_sents)
     ]
-    model_cfg = ModelConfig(
-        src_vocab=len(src_vocab),
-        trg_vocab=len(trg_vocab),
-        d_model=args.d_model,
-        enc_layers=args.layers,
-        dec_layers=args.layers,
-        heads=args.heads,
-        d_ff=args.d_ff,
-        max_len=args.max_len,
-    )
-    train_cfg = TrainConfig(
-        steps=args.steps,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        warmup=args.warmup,
-        label_smoothing=args.label_smoothing,
-        adam_eps=args.adam_eps,
-        eval_every=args.eval_every,
-        target_accuracy=args.target_accuracy,
-    )
+    model_cfg = ModelConfig(len(src_vocab), len(trg_vocab), d_model=args.d_model,
+                            enc_layers=args.layers, dec_layers=args.layers, heads=args.heads,
+                            d_ff=args.d_ff, max_len=args.max_len)
+    # every TrainConfig field is the dest of the train flag of that name
+    train_cfg = TrainConfig(**{f.name: getattr(args, f.name)
+                               for f in dataclasses.fields(TrainConfig)})
     result = model_mod.train(pairs, model_cfg, train_cfg, specs, sentence_masks.__getitem__)
 
     _save_model_dir(out, result.model, src_vocab, trg_vocab)
     (out / "loss.txt").write_text(
         "".join(f"{v:.17g}\n" for v in result.losses), encoding="utf-8"
     )
-    _write_manifest(
-        out, "train", argv, args,
-        [("steps_run", result.steps_run),
-         ("loss_step0", f"{result.losses[0]:.17g}"),
-         ("final_loss", f"{result.losses[-1]:.17g}"),
-         ("final_accuracy", f"{result.accuracy:.6f}")],
-    )
     print(
         f"trained {result.steps_run} steps, final accuracy {result.accuracy:.4f}"
     )
-    return 0
+    return [("steps_run", result.steps_run),
+            ("loss_step0", f"{result.losses[0]:.17g}"),
+            ("final_loss", f"{result.losses[-1]:.17g}"),
+            ("final_accuracy", f"{result.accuracy:.6f}")]
 
 
 def _decode_cfg(args):
@@ -368,8 +337,8 @@ def _decode_cfg(args):
     return dataclasses.replace(cfg, beam=1, alpha=0.0) if args.greedy else cfg
 
 
-def _decode(args, argv, command, line_pieces):
-    """Decode each --src line with the --model directory; write hyps.txt and the manifest.
+def _decode(args, out, line_pieces):
+    """Decode each --src line with the --model directory into hyps.txt.
 
     `line_pieces(head_specs, sentences)` gives each line's pieces as
     (tokens, {label: mask}) pairs. Every piece must fit the model's max_len,
@@ -377,7 +346,6 @@ def _decode(args, argv, command, line_pieces):
     own, an empty one to an empty hypothesis, and a line's hypotheses are
     joined with " . ".
     """
-    out = _out_dir(args)
     model, src_vocab, trg_vocab = _load_model_dir(args.model)
     lines = line_pieces(model.head_specs, _read_sentences(args.src))
     _check_corpus(args.src, [max((t for t, _ in pieces), key=len) for pieces in lines],
@@ -392,20 +360,19 @@ def _decode(args, argv, command, line_pieces):
 
     hyps = [" . ".join(hypothesis(*piece) for piece in pieces) for pieces in lines]
     (out / "hyps.txt").write_text("".join(h + "\n" for h in hyps), encoding="utf-8")
-    _write_manifest(out, command, argv, args, [("count", len(hyps))])
-    verb = "translated" if command == "translate" else "split-translated"
+    verb = "translated" if args.command == "translate" else "split-translated"
     print(f"{verb} {len(hyps)} sentences to {out / 'hyps.txt'}")
-    return 0
+    return [("count", len(hyps))]
 
 
-def cmd_translate(args, argv):
+def cmd_translate(args, out):
     def line_pieces(specs, sentences):
         return [[piece] for piece in zip(sentences, _spec_masks(specs, sentences, args))]
 
-    return _decode(args, argv, "translate", line_pieces)
+    return _decode(args, out, line_pieces)
 
 
-def cmd_split(args, argv):
+def cmd_split(args, out):
     """Scene-split pipeline: translate each scene, join with a period."""
     def line_pieces(specs, sentences):
         if not all(s.mask.needs_cover for s in specs):
@@ -418,11 +385,10 @@ def cmd_split(args, argv):
                  for piece in sem_split(tokens, cover)]
                 for tokens, (cover, _, _) in zip(sentences, records)]
 
-    return _decode(args, argv, "split", line_pieces)
+    return _decode(args, out, line_pieces)
 
 
-def cmd_evaluate(args, argv):
-    out = _out_dir(args)
+def cmd_evaluate(args, out):
     hyps = _read_file(args.hyp).splitlines()
     refs = _read_file(args.ref).splitlines()
     reports = []
@@ -437,42 +403,33 @@ def cmd_evaluate(args, argv):
         (out / "scores.tsv").write_text(
             metrics.write_per_sentence_tsv(reports), encoding="utf-8"
         )
-    _write_manifest(out, "evaluate", argv, args,
-                    [(r.metric, f"{r.score:.2f}") for r in reports])
     for r in reports:
         print(r.line())
-    return 0
+    return [(r.metric, f"{r.score:.2f}") for r in reports]
 
 
-def cmd_compare(args, argv):
+def cmd_compare(args, out):
+    """The sign test between two score files; `out` is None without --out."""
     reports_a = metrics.parse_reports(_read_file(args.a))
     reports_b = metrics.parse_reports(_read_file(args.b))
     if len(reports_a) != len(reports_b):
-        raise DimensionError(
-            f"{len(reports_a)} vs {len(reports_b)} score lines"
-        )
+        raise DimensionError(f"{args.a} holds {len(reports_a)} score lines, "
+                             f"{args.b} holds {len(reports_b)}")
     p = metrics.sign_test([r.score for r in reports_a], [r.score for r in reports_b])
     line = f"sign_test n={len(reports_a)} p={p:.6f}"
     print(line)
-    if args.out:
-        out = _out_dir(args)
+    if out is not None:
         (out / "compare.txt").write_text(line + "\n", encoding="utf-8")
-        _write_manifest(out, "compare", argv, args, [("p", f"{p:.6f}")])
-    return 0
+    return [("p", f"{p:.6f}")]
 
 
-def cmd_rerun(args, argv):
-    command = stored_argv = None
-    for line in _read_file(args.manifest).splitlines():
-        if line.startswith("command="):
-            command = line.split("=", 1)[1]
-        elif line.startswith("argv="):
-            stored_argv = shlex.split(line.split("=", 1)[1])
-    if command is None or stored_argv is None:
+def _rerun_argv(args):
+    """The argv that `rerun`'s manifest records, into `rerun --out` if one is given."""
+    records = dict(line.partition("=")[::2] for line in _read_file(args.manifest).splitlines())
+    if "command" not in records or "argv" not in records:
         raise ParseError(f"{args.manifest} lacks command/argv records")
-    if args.out:
-        stored_argv = stored_argv + ["--out", args.out]
-    return main(stored_argv)
+    argv = shlex.split(records["argv"])
+    return argv + ["--out", args.out] if args.out else argv
 
 
 # -- argument parsing ---------------------------------------------------------------
@@ -530,7 +487,6 @@ def build_parser():
             flag, nargs="?", const="", default=None, metavar="SPEC",
             help=f"{help_text}; SPEC like 'layers=2,3;heads=1;family=scaled'",
         )
-    p.add_argument("--C", type=float, default=None, help="scale for scaled/normal masks")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--batch-size", type=int, default=128, dest="batch_size")
     p.add_argument("--seed", type=int, default=0)
@@ -582,11 +538,25 @@ def build_parser():
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
+    """Run one command line and return its exit code.
+
+    `rerun` replays its manifest's argv through `main`. Any other command runs
+    as `cmd_NAME(args, out)`, with `out` its `--out` directory, made first (None
+    for `compare` without one), and its returned (key, value) results go into
+    the manifest written there.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
-        return globals()[f"cmd_{args.command}"](args, list(argv))
+        if args.command == "rerun":
+            return main(_rerun_argv(args))
+        out = None if args.out is None else Path(args.out)
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+        results = globals()[f"cmd_{args.command}"](args, out)
+        if out is not None:
+            _write_manifest(out, argv, args, results)
+        return 0
     except ConfigError as exc:
         print(f"scenemt: config error: {exc}", file=sys.stderr)
         return 2

@@ -413,14 +413,14 @@ def parse_conllu(text):
         tid = cols[0]
         if not tid.isdigit():
             continue  # multiword ranges ("i-j") and empty nodes ("i.j")
-        # a row's position is its id, as the heads below assume
-        if not tid.isdecimal() or int(tid) != len(rows) + 1:
+        # a row's position is its id, as the heads below assume; ids and heads are ASCII
+        # digits, since int() would also take '+1', '1_0' and other scripts' digits
+        if not tid.isascii() or int(tid) != len(rows) + 1:
             raise ParseError(f"token id {tid} where id {len(rows) + 1} belongs", line=lineno)
-        try:
-            head = int(cols[6])
-        except ValueError as exc:
-            raise ParseError(f"non-integer HEAD {cols[6]!r}", line=lineno) from exc
-        rows.append(head)
+        head = cols[6]
+        if not (head.isascii() and head.isdigit()):
+            raise ParseError(f"non-integer HEAD {head!r}", line=lineno)
+        rows.append(int(head))
         lineno_of.append(lineno)
     flush()
     return graphs

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, exit codes, and manifest reruns."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -31,6 +32,12 @@ TREE_ONE_WORD = "1\thi\t_\t_\t_\t_\t0\troot\t_\t_\n\n"
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+def subcommand_parsers():
+    """The parser's {subcommand name: subparser}."""
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
 
 
 class TestMasksCommand:
@@ -124,7 +131,8 @@ class TestMasksCommand:
         assert f"bad.cover: line 3: {message}" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("second_id", ["1", "3"], ids=["repeated", "out-of-order"])
+    @pytest.mark.parametrize("second_id", ["1", "3", "\u0662"],
+                             ids=["repeated", "out-of-order", "arabic-indic-digit"])
     def test_bad_conllu_id_exits_3_naming_file_line_and_id(self, tmp_path, capsys, second_id):
         conllu = tmp_path / "bad.conllu"
         conllu.write_text(CONLLU_TEXT.replace("2\tdog", f"{second_id}\tdog"))
@@ -138,7 +146,11 @@ class TestMasksCommand:
         ({2: "7"}, "bad.conllu: line 2: head index 7 out of range"),
         ({2: "x"}, "bad.conllu: line 2: non-integer HEAD 'x'"),
         ({1: "0", 3: "2"}, "bad.conllu: head links form a cycle"),
-    ], ids=["head-out-of-range", "non-integer-head", "head-cycle"])
+        ({2: "+3"}, "bad.conllu: line 2: non-integer HEAD '+3'"),
+        ({2: "\u0663"}, "bad.conllu: line 2: non-integer HEAD '\u0663'"),
+        ({2: "1_0"}, "bad.conllu: line 2: non-integer HEAD '1_0'"),
+    ], ids=["head-out-of-range", "non-integer-head", "head-cycle", "signed-head",
+            "arabic-indic-head", "underscored-head"])
     def test_bad_conllu_head_exits_3(self, tmp_path, capsys, rows, message):
         lines = [line.split("\t") for line in CONLLU_TEXT.splitlines()]
         for lineno, head in rows.items():
@@ -192,6 +204,14 @@ class TestMasksCommand:
         code = run(["masks", "--family", "binary", "--out", tmp_path / "o"])
         assert code == 2
 
+    def test_dependency_family_with_only_a_cover_exits_2(self, tmp_path, capsys):
+        cov = tmp_path / "c.cover"
+        cov.write_text(COVER_TEXT)
+        assert run(["masks", "--family", "pascal", "--cover", cov, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "dependency-mask families need --conllu input" in err
+        assert "Traceback" not in err
+
     def test_both_graph_and_cover_rejected(self, tmp_path):
         graph = tmp_path / "g.ug"
         graph.write_text(TWO_SCENE_GRAPH)
@@ -237,13 +257,23 @@ class TestOneParserPerProcess:
     def test_the_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 
-    def test_a_replaced_command_function_runs(self, monkeypatch):
+    def test_a_replaced_command_function_runs(self, tmp_path, monkeypatch):
         # the cached parser must not hold the function it was built with
         cli.build_parser()
+        monkeypatch.chdir(tmp_path)
         calls = []
-        monkeypatch.setattr(cli, "cmd_masks", lambda args, argv: calls.append(argv) or 0)
+        monkeypatch.setattr(cli, "cmd_masks",
+                            lambda args, out: calls.append((args.ucca, out)) or [("count", 7)])
         assert cli.main(self.ARGVS[0]) == 0
-        assert calls == [self.ARGVS[0]]
+        assert calls == [("fig.ug", Path("out"))]
+        manifest = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+        assert manifest[1:3] == ["command=masks", f"argv={' '.join(self.ARGVS[0])}"]
+        assert manifest[-1] == "result.count=7"
+
+    def test_the_command_functions_are_the_subcommands(self):
+        # main replays rerun's manifest itself, so rerun has no command function
+        functions = {name for name in vars(cli) if name.startswith("cmd_")}
+        assert functions == {f"cmd_{name}" for name in subcommand_parsers() if name != "rerun"}
 
     def test_calls_in_one_process_match_separate_processes(self, tmp_path, monkeypatch, capsys):
         # each side runs in its own directory, so relative paths print alike
@@ -274,29 +304,22 @@ class TestOneParserPerProcess:
 
 
 class TestHeadSpecFlag:
-    def test_global_c_only_touches_scaled_families(self):
-        import argparse
-
-        from scenemt.cli import _collect_specs
-
-        ns = argparse.Namespace(sasa="family=scaled", sacra="", pascal=None,
-                                udiscal=None, C=0.1)
-        specs = _collect_specs(ns)
-        by_label = {s.label: s for s in specs}
-        assert by_label["sasa"].mask.family == "scaled"
-        assert by_label["sasa"].mask.c == 0.1
-        assert by_label["sacra"].mask.family == "binary"
-        assert by_label["sacra"].mask.c is None
-
     def test_paper_style_layer_syntax(self):
-        import argparse
-
         from scenemt.cli import _collect_specs
 
-        ns = argparse.Namespace(sasa=None, sacra="layers=2&3;heads=1",
-                                pascal=None, udiscal=None, C=None)
+        ns = argparse.Namespace(sasa=None, sacra="layers=2&3;heads=1", pascal=None, udiscal=None)
         (spec,) = _collect_specs(ns)
         assert spec.layers == {2, 3} and spec.heads == {1}
+
+    def test_train_takes_no_bare_c(self, tmp_path, capsys):
+        # train has no bare --C; each head spec's C= sets its scale
+        with pytest.raises(SystemExit) as info:
+            run(["train", "--src", "s", "--trg", "t", "--sasa", "family=scaled", "--C", "0.1",
+                 "--steps", "1", "--out", tmp_path / "o"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --C 0.1" in capsys.readouterr().err
+        assert "--C" not in subcommand_parsers()["train"].format_help()
+        assert "--C" in subcommand_parsers()["masks"].format_help()
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +361,20 @@ class TestTrainCommand:
             "--layers", "4", "--heads", "2", "--out", tmp_path / "o",
         ])
         assert code == 2
+
+    def test_numeric_failure_exits_4(self, tmp_path, capsys, monkeypatch):
+        from scenemt.errors import NumericError
+
+        def diverge(*args):
+            raise NumericError("loss went non-finite", step=3)
+
+        monkeypatch.setattr(cli.model_mod, "train", diverge)
+        src, trg, cov = tmp_path / "c.src", tmp_path / "c.trg", tmp_path / "c.cover"
+        write_copy_task(src, trg, cov, pairs=4, seed=1)
+        assert run(train_argv(src, trg, cov, tmp_path / "o")) == 4
+        err = capsys.readouterr().err
+        assert "scenemt: numeric failure: step 3: loss went non-finite" in err
+        assert "Traceback" not in err
 
     def test_rerun_is_byte_identical(self, trained_dir):
         root, out = trained_dir
@@ -453,6 +490,12 @@ class TestMaskInputMismatches:
         ("masks", dict(one_cover="#L 2\nS P main=0 tokens=0,1\n", zero_align="1 0\n"),
          ["--family", "binary", "--cover", "one_cover", "--alignment", "zero_align"],
          "{zero_align}: line 1: every word needs at least one subword"),
+        ("masks", dict(one_cover="#L 1\nS P main=0 tokens=0\n", underscored_align="1_0\n"),
+         ["--family", "binary", "--cover", "one_cover", "--alignment", "underscored_align"],
+         "{underscored_align}: line 1: alignment counts must be integers"),
+        ("masks", dict(one_cover="#L 1\nS P main=0 tokens=0\n", arabic_align="\u0663\n"),
+         ["--family", "binary", "--cover", "one_cover", "--alignment", "arabic_align"],
+         "{arabic_align}: line 1: alignment counts must be integers"),
         ("translate", dict(three_src="a b c\n", one_cover="#L 2\nS P main=0 tokens=0,1\n",
                            two_subwords="1 1\n"),
          ["--src", "three_src", "--cover", "one_cover", "--alignment", "two_subwords"],
@@ -460,7 +503,8 @@ class TestMaskInputMismatches:
          "sentence has 3"),
     ], ids=["covers-for-sentences", "split-covers-for-sentences", "cover-length",
             "split-cover-length", "alignment-lines-for-sentences", "alignment-against-tree",
-            "mask-against-alignment", "zero-subword-count", "subwords-against-source"])
+            "mask-against-alignment", "zero-subword-count", "underscored-count",
+            "arabic-indic-count", "subwords-against-source"])
     def test_exits_3_naming_the_files(self, tmp_path, capsys, command, texts, flags, message):
         paths = _input_files(tmp_path, **texts)
         model = ["--model", STORED] if command != "masks" else []
@@ -586,6 +630,16 @@ class TestSplitCommand:
                     "--max-len", "6", "--out", out]) == 0
         assert (out / "hyps.txt").read_text().count(" . ") == 1
 
+    def test_a_model_with_a_dependency_head_exits_2(self, tmp_path, capsys):
+        model_dir = copy_model_dir(STORED, tmp_path / "m")
+        with (model_dir / "model.cfg").open("a") as cfg:
+            cfg.write("headspec=site=encoder;layers=1;heads=1;family=pascal;C=;label=pascal\n")
+        assert run(["split", "--model", model_dir, "--src", STORED / "c.src",
+                    "--cover", STORED / "c.cover", "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "split pipeline supports scene-mask heads only" in err
+        assert "Traceback" not in err
+
     def test_single_scene_has_no_delimiter(self, trained_dir, tmp_path):
         root, model_dir = trained_dir
         src = tmp_path / "s.src"
@@ -609,6 +663,16 @@ class TestEvaluateAndCompare:
         text = (out / "scores.txt").read_text()
         assert "metric=bleu score=66.87 n=1" in text
         assert "metric=chrf" in text
+
+    def test_per_sentence_scores_go_to_a_tsv(self, tmp_path):
+        hyp, ref = tmp_path / "h.txt", tmp_path / "r.txt"
+        hyp.write_text("the cat sat down now\nb c\n")
+        ref.write_text("the cat sat down\nb c\n")
+        out = tmp_path / "out"
+        assert run(["evaluate", "--hyp", hyp, "--ref", ref, "--per-sentence", "--out", out]) == 0
+        rows = (out / "scores.tsv").read_text().splitlines()
+        assert rows[:2] == ["sentence\tbleu\tchrf", "0\t66.87\t97.22"]
+        assert len(rows) == 3
 
     def test_identity_scores_100(self, tmp_path):
         hyp = tmp_path / "h.txt"
@@ -634,6 +698,15 @@ class TestEvaluateAndCompare:
         assert run(["compare", "--a", a, "--b", a]) == 3
         assert "tied" in capsys.readouterr().err
 
+    def test_compare_score_line_mismatch_exits_3_naming_both_files(self, tmp_path, capsys):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("metric=bleu score=10.00 n=5\n")
+        b.write_text("metric=bleu score=11.00 n=5\nmetric=bleu score=13.00 n=5\n")
+        assert run(["compare", "--a", a, "--b", b]) == 3
+        err = capsys.readouterr().err
+        assert f"{a} holds 1 score lines, {b} holds 2" in err
+        assert "Traceback" not in err
+
     def test_compare_out_writes_file_and_manifest(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -652,10 +725,20 @@ class TestEvaluateRerun:
         hyp.write_text("the cat sat down now\nb c\n")
         ref.write_text("the cat sat down\nb c\n")
         out1 = tmp_path / "e1"
-        assert run(["evaluate", "--hyp", hyp, "--ref", ref, "--out", out1]) == 0
+        assert run(["evaluate", "--hyp", hyp, "--ref", ref, "--per-sentence",
+                    "--out", out1]) == 0
         out2 = tmp_path / "e2"
         assert run(["rerun", out1 / "manifest.txt", "--out", out2]) == 0
-        assert (out1 / "scores.txt").read_bytes() == (out2 / "scores.txt").read_bytes()
+        for name in ("scores.txt", "scores.tsv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_a_manifest_without_argv_exits_3(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("tool=scenemt 0.1.0\ncommand=evaluate\n")
+        assert run(["rerun", manifest, "--out", tmp_path / "o"]) == 3
+        err = capsys.readouterr().err
+        assert f"{manifest} lacks command/argv records" in err
+        assert "Traceback" not in err
 
 
 def train_argv(src, trg, cov, out, *extra):
@@ -674,7 +757,8 @@ class TestHeadSpecErrors:
         (["--sasa", "heads=1,"], "'heads=1,'"),
         (["--sasa", "layers"], "'layers'"),
         (["--sasa", "family=normal;C=nan"], "normal mask needs a finite C > 0"),
-        (["--sasa", "family=normal", "--C", "inf"], "normal mask needs a finite C > 0"),
+        (["--sasa", "family=normal;C=inf"], "normal mask needs a finite C > 0"),
+        (["--sasa", "bogus=1"], "unknown head-spec key 'bogus'"),
         (["--heads", "0"], "d_model=8 and heads=0 must be positive"),
         (["--d-model", "0"], "d_model=0 and heads=2 must be positive"),
         (["--d-ff", "0"], "d_ff=0 must be positive"),
@@ -691,7 +775,7 @@ class TestHeadSpecErrors:
         (["--target-accuracy", "0"], "target_accuracy=0.0 must lie in (0, 1]"),
         (["--target-accuracy", "1.5"], "target_accuracy=1.5 must lie in (0, 1]"),
     ], ids=["layers=x-layers=x", "family=scaled;C=abc-C=abc", "heads=1,-heads=1,",
-            "layers-layers", "normal-C=nan", "normal-C=inf", "heads=0", "d-model=0",
+            "layers-layers", "normal-C=nan", "normal-C=inf", "bogus=1", "heads=0", "d-model=0",
             "d-ff=0", "heads=-2", "layers=-1", "d-ff=-4", "seed=-1", "eval-every=-1",
             "adam-eps=-1", "adam-eps=nan", "adam-eps=0", "adam-eps=inf", "target-accuracy=nan",
             "target-accuracy=0", "target-accuracy=1.5"])
@@ -719,6 +803,17 @@ class TestCorpusValidation:
         assert run(train_argv(src, trg, cov, tmp_path / "o")) == 3
         err = capsys.readouterr().err
         assert "c.src: line 2: empty sentence" in err
+
+    def test_sentence_count_mismatch_exits_3_naming_both_files(self, tmp_path, capsys):
+        src, trg = tmp_path / "c.src", tmp_path / "c.trg"
+        src.write_text("a b\nc d\n")
+        trg.write_text("a b\n")
+        argv = ["train", "--src", src, "--trg", trg, "--steps", "1", "--d-model", "8",
+                "--heads", "2", "--out", tmp_path / "o"]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{src} holds 2 sentences, {trg} holds 1" in err
+        assert "Traceback" not in err
 
     def test_target_needing_more_positions_than_max_len_exits_3(self, tmp_path, capsys):
         src, trg = tmp_path / "c.src", tmp_path / "c.trg"
@@ -749,6 +844,7 @@ class TestModelDir:
         (lambda lines: lines.insert(0, "dropout=1"), 1),
         (lambda lines: lines.insert(1, "d_model=8"), 4),  # the repeat
         (lambda lines: lines.__setitem__(3, "enc_layers=abc"), 4),
+        (lambda lines: lines.__setitem__(5, "heads=\u0662"), 6),
         (lambda lines: lines.__setitem__(-1, lines[-1].replace(";label=sasa", "")), 9),
         (lambda lines: lines.__setitem__(-1, lines[-1].replace("layers=4", "layers=x")), 9),
         (lambda lines: lines.__setitem__(-1, lines[-1].replace("family=binary;C=",
