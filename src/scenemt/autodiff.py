@@ -30,7 +30,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DimensionError, ParseError
+from .errors import DimensionError, ParseError, non_negative_int
 
 _GRAD_ENABLED = True
 
@@ -454,15 +454,10 @@ def save_checkpoint(path, named_arrays):
 
 def _header_int(raw, field):
     try:
-        value = int(raw)
+        return non_negative_int(raw)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise ParseError(
-            f"checkpoint {field} is not a non-negative integer: "
-            f"{raw.decode(errors='replace')!r}"
-        )
-    return value
+        raise ParseError(f"checkpoint {field} is not a non-negative integer: "
+                         f"{raw.decode(errors='replace')!r}") from None
 
 
 def load_checkpoint(path):

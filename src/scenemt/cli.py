@@ -30,6 +30,7 @@ from .errors import (
     ParseError,
     SceneMtError,
     StructuralError,
+    non_negative_int,
 )
 from .masks import MaskSpec
 from .model import DecodeConfig, HeadSpec, ModelConfig, TrainConfig
@@ -69,11 +70,10 @@ def _read_alignments(path):
         for lineno, line in enumerate(_utf8(p).splitlines(), start=1):
             if not line.strip():
                 continue
-            fields = line.split()
-            # int() would also take '+1', '1_0' and non-ASCII digits
-            if not all(x.isascii() and x.isdigit() for x in fields):
-                raise ParseError("alignment counts must be integers", line=lineno)
-            counts = tuple(map(int, fields))
+            try:
+                counts = tuple(map(non_negative_int, line.split()))
+            except ValueError:
+                raise ParseError("alignment counts must be integers", line=lineno) from None
             if min(counts) < 1:
                 raise ParseError("every word needs at least one subword", line=lineno)
             aligns.append(counts)
@@ -127,7 +127,7 @@ def _spec_fields(text, keys):
             raise ConfigError(f"unknown head-spec key {key!r}")
         try:
             if key in ("layers", "heads"):
-                value = {int(x) for x in value.replace("&", ",").split(",")}
+                value = {non_negative_int(x) for x in value.replace("&", ",").split(",")}
             elif key == "C":
                 value = float(value) if value else None
         except ValueError:
@@ -258,11 +258,11 @@ def _load_model_dir(path):
         try:
             if key == "headspec":
                 specs.append(_stored_spec(value))
-            elif key in known and key not in fields and value.isascii() and value.isdigit():
-                fields[key] = int(value)
+            elif key in known and key not in fields:
+                fields[key] = non_negative_int(value)
             elif line.strip():
                 raise ConfigError(f"{line!r} is neither headspec= nor a new field=<integer>")
-        except ConfigError as exc:
+        except (ConfigError, ValueError) as exc:
             raise ParseError(f"{cfg_path}: line {lineno}: {exc}") from None
     missing = sorted(known - set(fields))
     if missing:
@@ -389,6 +389,8 @@ def cmd_split(args, out):
 
 
 def cmd_evaluate(args, out):
+    if not np.isfinite(args.beta):
+        raise ConfigError(f"--beta must be finite, got {args.beta}")
     hyps = _read_file(args.hyp).splitlines()
     refs = _read_file(args.ref).splitlines()
     reports = []
@@ -410,8 +412,8 @@ def cmd_evaluate(args, out):
 
 def cmd_compare(args, out):
     """The sign test between two score files; `out` is None without --out."""
-    reports_a = metrics.parse_reports(_read_file(args.a))
-    reports_b = metrics.parse_reports(_read_file(args.b))
+    reports_a, reports_b = (_read_file(path, lambda p: metrics.parse_reports(_utf8(p)))
+                            for path in (args.a, args.b))
     if len(reports_a) != len(reports_b):
         raise DimensionError(f"{args.a} holds {len(reports_a)} score lines, "
                              f"{args.b} holds {len(reports_b)}")
@@ -428,7 +430,12 @@ def _rerun_argv(args):
     records = dict(line.partition("=")[::2] for line in _read_file(args.manifest).splitlines())
     if "command" not in records or "argv" not in records:
         raise ParseError(f"{args.manifest} lacks command/argv records")
-    argv = shlex.split(records["argv"])
+    try:
+        argv = shlex.split(records["argv"])
+    except ValueError as exc:
+        raise ParseError(f"{args.manifest}: bad argv record: {exc}") from None
+    if argv[:1] == ["rerun"]:  # scenemt writes no manifest for a rerun
+        raise ParseError(f"{args.manifest}: argv replays another manifest")
     return argv + ["--out", args.out] if args.out else argv
 
 
@@ -552,7 +559,10 @@ def main(argv=None):
             return main(_rerun_argv(args))
         out = None if args.out is None else Path(args.out)
         if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot make --out {out}: {exc.strerror or exc}") from None
         results = globals()[f"cmd_{args.command}"](args, out)
         if out is not None:
             _write_manifest(out, argv, args, results)

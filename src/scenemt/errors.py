@@ -1,8 +1,9 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and its one integer reader.
 
 The CLI maps these onto exit codes: ConfigError -> 2 (usage),
 ParseError / StructuralError / DimensionError / UndefinedResultError -> 3
-(bad input), NumericError -> 4.
+(bad input), NumericError -> 4. Every reader reads its integers with
+`non_negative_int` and turns its ValueError into the reader's own error.
 """
 
 
@@ -44,3 +45,11 @@ class NumericError(SceneMtError):
             message = f"step {step}: {message}"
         super().__init__(message)
         self.step = step
+
+
+def non_negative_int(text):
+    """`int(text)` for str or bytes of ASCII digits, else ValueError; int() alone would
+    also take a sign, '_' separators, spaces and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not a non-negative integer")
+    return int(text)

@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import DimensionError, ParseError, UndefinedResultError
+from .errors import DimensionError, ParseError, UndefinedResultError, non_negative_int
 
 BLEU_ORDER = 4
 CHRF_CHAR_ORDER = 6
@@ -162,7 +162,7 @@ def write_per_sentence_tsv(reports):
 
 
 def parse_reports(text):
-    """Parse `metric=<name> score=<x> n=<k>` lines back into reports."""
+    """Parse `metric=<name> score=<x> n=<k>` lines back into reports; x must be finite."""
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -171,9 +171,10 @@ def parse_reports(text):
             part.split("=", 1) for part in line.split() if "=" in part
         )
         try:
-            out.append(
-                ScoreReport(fields["metric"], float(fields["score"]), int(fields["n"]))
-            )
+            score = float(fields["score"])
+            if not math.isfinite(score):
+                raise ValueError(f"score {fields['score']!r} is not finite")
+            out.append(ScoreReport(fields["metric"], score, non_negative_int(fields["n"])))
         except (KeyError, ValueError) as exc:
             raise ParseError(f"bad score line: {exc}", line=lineno) from exc
     return out

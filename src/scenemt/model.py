@@ -108,14 +108,14 @@ class HeadSpec:
             raise ConfigError("a head spec needs a non-empty label")
 
 
-def sasa_default(mask=None):
+def sasa_default():
     """Tuned placement for the scene-aware self-attention head."""
-    return HeadSpec("encoder", {4}, {1}, mask or MaskSpec("binary"), "sasa")
+    return HeadSpec("encoder", {4}, {1}, MaskSpec("binary"), "sasa")
 
 
-def sacra_default(mask=None):
+def sacra_default():
     """Tuned placement for the scene-aware cross-attention head."""
-    return HeadSpec("cross", {2, 3}, {1}, mask or MaskSpec("binary"), "sacra")
+    return HeadSpec("cross", {2, 3}, {1}, MaskSpec("binary"), "sacra")
 
 
 def pascal_default():

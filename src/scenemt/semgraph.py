@@ -10,7 +10,7 @@ Three line-oriented inputs are understood here:
   without a parser. Every token lies in 0..n-1 and ``main=`` inside
   ``tokens=``; a line that breaks either rule raises ParseError naming it;
 * CoNLL-U, of which only ID and HEAD are consumed; IDs run 1, 2, ... in
-  each sentence.
+  each sentence, and rows whose ID holds '-' or '.' are skipped.
 
 A *scene* is any graph node with an outgoing P or S edge; its token set is
 every terminal reachable from it, remote edges included (that is what lets a
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, ParseError, StructuralError
+from .errors import DimensionError, ParseError, StructuralError, non_negative_int
 
 ROOT_HEAD = -1  # head marker for the dependency root token
 
@@ -197,13 +197,13 @@ def parse_ucca_file(text):
             elif tag == "T":
                 if len(fields) < 4:
                     raise ParseError("terminal needs node, index, surface", line=lineno)
-                terminals.append((fields[1], int(fields[2]), " ".join(fields[3:])))
+                terminals.append((fields[1], non_negative_int(fields[2]), " ".join(fields[3:])))
             elif tag.startswith("//"):
                 continue
             elif tag == "#L":
                 if length is not None:
                     raise ParseError("duplicate #L header", line=lineno)
-                length = int(fields[1])
+                length = non_negative_int(fields[1])
             elif tag == "ROOT":
                 root = fields[1]
                 flush(lineno)
@@ -314,11 +314,9 @@ def parse_cover_file(text):
             continue
         if fields[0] == "#L":
             try:
-                length = int(fields[1])
+                length = non_negative_int(fields[1])
             except (ValueError, IndexError) as exc:
-                raise ParseError("bad #L header", line=lineno) from exc
-            if length < 0:
-                raise ParseError(f"#L length must be non-negative, got {length}", line=lineno)
+                raise ParseError(f"bad #L header: {exc}", line=lineno) from exc
             covers.append(SceneCover(length, []))
         elif fields[0] == "S":
             if not covers:
@@ -329,18 +327,18 @@ def parse_cover_file(text):
                 opts = dict(f.split("=", 1) for f in fields[2:])
                 main_spec = opts["main"]
                 if "-" in main_spec:
-                    lo, hi = (int(x) for x in main_spec.split("-"))
+                    lo, hi = map(non_negative_int, main_spec.split("-"))
                 else:
-                    lo = hi = int(main_spec)
-                tokens = frozenset(int(x) for x in opts["tokens"].split(","))
+                    lo = hi = non_negative_int(main_spec)
+                tokens = frozenset(map(non_negative_int, opts["tokens"].split(",")))
             except (ValueError, KeyError, IndexError) as exc:
                 raise ParseError(f"malformed scene line: {exc}", line=lineno) from exc
             if kind not in MAIN_RELATION_CATEGORIES:
                 raise ParseError(f"scene kind must be P or S, got {kind!r}", line=lineno)
-            if not 0 <= lo <= hi < length:
+            if not lo <= hi < length:
                 raise ParseError(f"main={main_spec} is not an index or range within "
                                  f"0..{length - 1}", line=lineno)
-            outside = [t for t in tokens if not 0 <= t < length]
+            outside = [t for t in tokens if t >= length]
             if outside:
                 raise ParseError(f"scene token {min(outside)} outside 0..{length - 1}",
                                  line=lineno)
@@ -411,16 +409,15 @@ def parse_conllu(text):
         if len(cols) != 10:
             raise ParseError(f"expected 10 columns, found {len(cols)}", line=lineno)
         tid = cols[0]
-        if not tid.isdigit():
+        if "-" in tid or "." in tid:
             continue  # multiword ranges ("i-j") and empty nodes ("i.j")
-        # a row's position is its id, as the heads below assume; ids and heads are ASCII
-        # digits, since int() would also take '+1', '1_0' and other scripts' digits
-        if not tid.isascii() or int(tid) != len(rows) + 1:
+        # a row's position is its id, as the heads below assume
+        if tid != str(len(rows) + 1):
             raise ParseError(f"token id {tid} where id {len(rows) + 1} belongs", line=lineno)
-        head = cols[6]
-        if not (head.isascii() and head.isdigit()):
-            raise ParseError(f"non-integer HEAD {head!r}", line=lineno)
-        rows.append(int(head))
+        try:
+            rows.append(non_negative_int(cols[6]))
+        except ValueError:
+            raise ParseError(f"non-integer HEAD {cols[6]!r}", line=lineno) from None
         lineno_of.append(lineno)
     flush()
     return graphs

@@ -29,6 +29,9 @@ CONLLU_TEXT = (
 
 TREE_ONE_WORD = "1\thi\t_\t_\t_\t_\t0\troot\t_\t_\n\n"
 
+# integers that Python's int() takes and every scenemt reader refuses, by name
+NON_INTEGERS = {"signed": "+1", "underscored": "1_0", "arabic-indic": "\u0663"}
+
 
 def run(argv):
     return cli.main([str(a) for a in argv])
@@ -96,13 +99,27 @@ class TestMasksCommand:
         assert "line 2" in err
         assert "bad.ug" in err
 
+    @pytest.mark.parametrize("name", NON_INTEGERS)
+    @pytest.mark.parametrize("graph,line", [("#L {}\nT t0 0 a\nROOT t0\n", 1),
+                                            ("#L 1\nT t0 {} a\nROOT t0\n", 2)],
+                             ids=["#L", "terminal-index"])
+    def test_non_integer_in_a_graph_exits_3_naming_file_and_line(self, tmp_path, capsys,
+                                                                 graph, line, name):
+        bad = tmp_path / "bad.ug"
+        bad.write_text(graph.format(NON_INTEGERS[name]), encoding="utf-8")
+        assert run(["masks", "--family", "binary", "--ucca", bad, "--out", tmp_path / "o"]) == 3
+        err = capsys.readouterr().err
+        assert (f"bad.ug: line {line}: malformed record: {NON_INTEGERS[name]!r} is not a "
+                "non-negative integer") in err
+        assert "Traceback" not in err
+
     def test_negative_cover_length_exits_3_naming_file_and_line(self, tmp_path, capsys):
         cov = tmp_path / "neg.cover"
         cov.write_text("#L 3\nS P main=0 tokens=0,1,2\n#L -2\n")
         code = run(["masks", "--family", "binary", "--cover", cov, "--out", tmp_path / "o"])
         assert code == 3
         err = capsys.readouterr().err
-        assert "neg.cover: line 3: #L length must be non-negative" in err
+        assert "neg.cover: line 3: bad #L header: '-2' is not a non-negative integer" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("main", ["0-300000000", "4", "2-1"],
@@ -121,18 +138,25 @@ class TestMasksCommand:
         ("S P main=3 tokens=0,1,2", "main=3 lies outside tokens=0,1,2"),
         ("S P main=1-3 tokens=0,1,3", "main=1-3 lies outside tokens=0,1,3"),
         ("S A main=0 tokens=0", "scene kind must be P or S, got 'A'"),
-    ], ids=["token-past-length", "main-outside-tokens", "main-range-outside-tokens", "kind"])
+        *[(line.format(n), f"{what}: {n!r} is not a non-negative integer")
+          for n in NON_INTEGERS.values()
+          for line, what in (("#L {}", "bad #L header"),
+                             ("S P main={} tokens=0,1", "malformed scene line"),
+                             ("S P main=0 tokens=0,{}", "malformed scene line"))],
+    ], ids=["token-past-length", "main-outside-tokens", "main-range-outside-tokens", "kind",
+            *[f"{name}-{field}" for name in NON_INTEGERS for field in ("#L", "main", "tokens")]])
     def test_bad_scene_line_exits_3_naming_file_and_line(self, tmp_path, capsys, line, message):
         cov = tmp_path / "bad.cover"
-        cov.write_text(f"#L 4\nS P main=0 tokens=0,1\n{line}\n")
+        cov.write_text(f"#L 4\nS P main=0 tokens=0,1\n{line}\n", encoding="utf-8")
         code = run(["masks", "--family", "binary", "--cover", cov, "--out", tmp_path / "o"])
         assert code == 3
         err = capsys.readouterr().err
         assert f"bad.cover: line 3: {message}" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("second_id", ["1", "3", "\u0662"],
-                             ids=["repeated", "out-of-order", "arabic-indic-digit"])
+    @pytest.mark.parametrize("second_id", ["1", "3", "\u0662", "x", "+2", "01", "02"],
+                             ids=["repeated", "out-of-order", "arabic-indic-digit", "letter",
+                                  "signed", "leading-zero", "leading-zero-same-value"])
     def test_bad_conllu_id_exits_3_naming_file_line_and_id(self, tmp_path, capsys, second_id):
         conllu = tmp_path / "bad.conllu"
         conllu.write_text(CONLLU_TEXT.replace("2\tdog", f"{second_id}\tdog"))
@@ -496,6 +520,9 @@ class TestMaskInputMismatches:
         ("masks", dict(one_cover="#L 1\nS P main=0 tokens=0\n", arabic_align="\u0663\n"),
          ["--family", "binary", "--cover", "one_cover", "--alignment", "arabic_align"],
          "{arabic_align}: line 1: alignment counts must be integers"),
+        ("masks", dict(one_cover="#L 1\nS P main=0 tokens=0\n", signed_align="+1\n"),
+         ["--family", "binary", "--cover", "one_cover", "--alignment", "signed_align"],
+         "{signed_align}: line 1: alignment counts must be integers"),
         ("translate", dict(three_src="a b c\n", one_cover="#L 2\nS P main=0 tokens=0,1\n",
                            two_subwords="1 1\n"),
          ["--src", "three_src", "--cover", "one_cover", "--alignment", "two_subwords"],
@@ -504,7 +531,7 @@ class TestMaskInputMismatches:
     ], ids=["covers-for-sentences", "split-covers-for-sentences", "cover-length",
             "split-cover-length", "alignment-lines-for-sentences", "alignment-against-tree",
             "mask-against-alignment", "zero-subword-count", "underscored-count",
-            "arabic-indic-count", "subwords-against-source"])
+            "arabic-indic-count", "signed-count", "subwords-against-source"])
     def test_exits_3_naming_the_files(self, tmp_path, capsys, command, texts, flags, message):
         paths = _input_files(tmp_path, **texts)
         model = ["--model", STORED] if command != "masks" else []
@@ -707,6 +734,42 @@ class TestEvaluateAndCompare:
         assert f"{a} holds 1 score lines, {b} holds 2" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("line,message", [
+        ("metric=bleu score=x n=5", "could not convert string to float: 'x'"),
+        ("metric=bleu score=nan n=5", "score 'nan' is not finite"),
+        ("metric=bleu score=-inf n=5", "score '-inf' is not finite"),
+        *[(f"metric=bleu score=1.00 n={n}", f"{n!r} is not a non-negative integer")
+          for n in NON_INTEGERS.values()],
+    ], ids=["score=x", "score=nan", "score=-inf", *[f"{name}-n" for name in NON_INTEGERS]])
+    def test_compare_bad_score_line_exits_3_naming_file_and_line(self, tmp_path, capsys,
+                                                                 line, message):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("metric=bleu score=10.00 n=5\nmetric=bleu score=12.00 n=5\n")
+        b.write_text(f"metric=bleu score=11.00 n=5\n{line}\n", encoding="utf-8")
+        assert run(["compare", "--a", a, "--b", b]) == 3
+        err = capsys.readouterr().err
+        assert f"{b}: line 2: bad score line: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
+    def test_evaluate_non_finite_beta_exits_2_naming_it(self, tmp_path, capsys, beta):
+        hyp = tmp_path / "h.txt"
+        hyp.write_text("same line\n")
+        assert run(["evaluate", "--hyp", hyp, "--ref", hyp, f"--beta={beta}",
+                    "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert f"--beta must be finite, got {float(beta)}" in err
+        assert "Traceback" not in err
+
+    def test_an_out_that_names_a_file_exits_2_naming_it(self, tmp_path, capsys):
+        hyp = tmp_path / "h.txt"
+        hyp.write_text("same line\n")
+        assert run(["evaluate", "--hyp", hyp, "--ref", hyp, "--out", hyp]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot make --out {hyp}: " in err
+        assert "Traceback" not in err
+        assert hyp.read_text() == "same line\n"
+
     def test_compare_out_writes_file_and_manifest(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -738,6 +801,20 @@ class TestEvaluateRerun:
         assert run(["rerun", manifest, "--out", tmp_path / "o"]) == 3
         err = capsys.readouterr().err
         assert f"{manifest} lacks command/argv records" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        ('evaluate --hyp "h.txt --ref h.txt', "bad argv record: No closing quotation"),
+        ("rerun {manifest}", "argv replays another manifest"),
+    ], ids=["unclosed-quote", "rerun-of-itself"])
+    def test_a_bad_argv_record_exits_3_naming_the_manifest(self, tmp_path, capsys, argv,
+                                                           message):
+        manifest = tmp_path / "manifest.txt"
+        argv = argv.format(manifest=manifest)
+        manifest.write_text(f"tool=scenemt 0.1.0\ncommand={argv.split()[0]}\nargv={argv}\n")
+        assert run(["rerun", manifest, "--out", tmp_path / "o"]) == 3
+        err = capsys.readouterr().err
+        assert f"{manifest}: {message}" in err
         assert "Traceback" not in err
 
 
@@ -774,11 +851,16 @@ class TestHeadSpecErrors:
         (["--target-accuracy", "nan"], "target_accuracy=nan must lie in (0, 1]"),
         (["--target-accuracy", "0"], "target_accuracy=0.0 must lie in (0, 1]"),
         (["--target-accuracy", "1.5"], "target_accuracy=1.5 must lie in (0, 1]"),
+        (["--sasa", "layers=+1"], "'layers=+1'"),
+        (["--sasa", "heads=1_0"], "'heads=1_0'"),
+        (["--sasa", "layers=+1_0"], "'layers=+1_0'"),
+        (["--sacra", "heads=\u0663"], "'heads=\u0663'"),
     ], ids=["layers=x-layers=x", "family=scaled;C=abc-C=abc", "heads=1,-heads=1,",
             "layers-layers", "normal-C=nan", "normal-C=inf", "bogus=1", "heads=0", "d-model=0",
             "d-ff=0", "heads=-2", "layers=-1", "d-ff=-4", "seed=-1", "eval-every=-1",
             "adam-eps=-1", "adam-eps=nan", "adam-eps=0", "adam-eps=inf", "target-accuracy=nan",
-            "target-accuracy=0", "target-accuracy=1.5"])
+            "target-accuracy=0", "target-accuracy=1.5", "layers=+1", "heads=1_0", "layers=+1_0",
+            "sacra-heads=arabic-indic"])
     def test_bad_fragment_exits_2_naming_it(self, tmp_path, capsys, flags, message):
         src, trg, cov = tmp_path / "c.src", tmp_path / "c.trg", tmp_path / "c.cover"
         write_copy_task(src, trg, cov, pairs=4, seed=1)
@@ -854,6 +936,12 @@ class TestModelDir:
         (lambda lines: lines.__setitem__(6, "d_ff=0"), "d_ff=0 must be positive"),
         (lambda lines: lines.__setitem__(5, "heads=3"), "d_model=16 not divisible by heads=3"),
         (lambda lines: lines.__setitem__(7, "max_len=1"), "max_len=1 must be at least 2"),
+        # integers that int() takes
+        (lambda lines: lines.__setitem__(-1, lines[-1].replace("layers=4;heads=1",
+                                                               "layers=\u0662;heads=+1")), 9),
+        (lambda lines: lines.__setitem__(-1, lines[-1].replace("heads=1", "heads=1_0")), 9),
+        (lambda lines: lines.__setitem__(7, "max_len=+16"), 8),
+        (lambda lines: lines.__setitem__(6, "d_ff=3_2"), 7),
     ])
     def test_bad_model_cfg_line_exits_3_naming_it(self, trained_dir, tmp_path, capsys,
                                                   edit, line):
@@ -862,7 +950,7 @@ class TestModelDir:
         lines = (bad / "model.cfg").read_text().splitlines()
         assert lines[-1].startswith("headspec=") and len(lines) == 9
         edit(lines)
-        (bad / "model.cfg").write_text("\n".join(lines) + "\n")
+        (bad / "model.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert self.translate(bad, root, tmp_path / "o") == 3
         err = capsys.readouterr().err
         where = f"line {line}: " if isinstance(line, int) else line
@@ -888,11 +976,14 @@ class TestModelDir:
 
     def test_corrupt_checkpoint_exits_3_naming_it(self, tmp_path, capsys):
         model_dir = copy_model_dir(STORED, tmp_path / "m")
-        (model_dir / "checkpoint.ckpt").write_bytes(b"not a checkpoint\n")
-        assert self.translate(model_dir, STORED, tmp_path / "o") == 3
-        err = capsys.readouterr().err
-        assert f"{model_dir / 'checkpoint.ckpt'}: not a checkpoint file" in err
-        assert "Traceback" not in err
+        for header, message in [
+                (b"not a checkpoint\n", "not a checkpoint file"),
+                (b"SCKPT +70\n", "checkpoint tensor count is not a non-negative integer: '+70'")]:
+            (model_dir / "checkpoint.ckpt").write_bytes(header)
+            assert self.translate(model_dir, STORED, tmp_path / "o") == 3
+            err = capsys.readouterr().err
+            assert f"{model_dir / 'checkpoint.ckpt'}: {message}" in err
+            assert "Traceback" not in err
 
     def test_per_head_checkpoint_is_refused(self, trained_dir, tmp_path, capsys):
         from scenemt import autodiff

@@ -320,42 +320,49 @@ class TestEdgeIndex:
         assert outcomes == {True, False}
 
 
-def mutate_ug_lines(lines, edits):
-    """Apply (kind, i, j) edits to `.ug` lines; i and j pick lines modulo their count."""
+def mutate_lines(lines, edits, edit):
+    """Apply (kind, i, j) edits, with i and j picking lines modulo their count: drop line i,
+    duplicate it at line j, swap it with line j, or `edit(lines, kind, i, j)` in place."""
     lines = list(lines)
     for kind, i, j in edits:
         if not lines:
             break
         i, j = i % len(lines), j % len(lines)
-        fields = lines[i].split()
         if kind == "drop":
             del lines[i]
         elif kind == "duplicate":
             lines.insert(j, lines[i])
         elif kind == "swap":
             lines[i], lines[j] = lines[j], lines[i]
-        elif not fields:  # an earlier edit emptied the line: no field to edit
-            continue
-        elif kind == "non-integer":  # in a header or terminal index, else in any field
-            at = {"#L": 1, "T": 2}.get(fields[0], j % len(fields))
-            fields[at % len(fields)] = ("1.5", "x", "", "0x1")[j % 4]
-            lines[i] = " ".join(fields)
-        elif kind == "bad-flag" and fields[0] == "E":
-            lines[i] = " ".join(fields[:4] + [("r", "RR", "remote", "0")[j % 4]])
-        elif kind == "back-edge" and fields[0] == "E":  # child -> parent, not remote
-            lines.insert(i + 1, f"E {fields[2]} {fields[1]} A")
+        else:
+            edit(lines, kind, i, j)
     return lines
+
+
+def edit_ug_line(lines, kind, i, j):
+    fields = lines[i].split()
+    if not fields:  # an earlier edit emptied the line: no field to edit
+        return
+    if kind == "non-integer":  # in a header or terminal index, else in any field
+        at = {"#L": 1, "T": 2}.get(fields[0], j % len(fields))
+        fields[at % len(fields)] = ("1.5", "x", "", "0x1", "+1", "1_0", "\u0663")[j % 7]
+        lines[i] = " ".join(fields)
+    elif kind == "bad-flag" and fields[0] == "E":
+        lines[i] = " ".join(fields[:4] + [("r", "RR", "remote", "0")[j % 4]])
+    elif kind == "back-edge" and fields[0] == "E":  # child -> parent, not remote
+        lines.insert(i + 1, f"E {fields[2]} {fields[1]} A")
+
+
+# a count or index: ASCII digits, so no sign, '_' or other script's digit
+INTEGER = re.compile("[0-9]+")
+
+
+def integer(field):
+    return INTEGER.fullmatch(field) is not None
 
 
 def ug_lines_well_formed(text):
     """Whether every line of `.ug` text is a well-formed record, judged line by line."""
-    def integer(field):
-        try:
-            int(field)
-        except ValueError:
-            return False
-        return True
-
     for line in text.splitlines():
         f = line.split()
         if f and not f[0].startswith("//") and not {
@@ -368,6 +375,29 @@ def ug_lines_well_formed(text):
     return True
 
 
+def masks_exit(tmp_path, text, family, flag):
+    """`scenemt masks --family <family> <flag> FILE` on `text` written to FILE: its exit
+    code, which must be clean, its stderr and its --out directory."""
+    path, out = tmp_path / "fuzz.in", tmp_path / "out"
+    path.write_text(text, encoding="utf-8")
+    shutil.rmtree(out, ignore_errors=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["masks", "--family", family, flag, str(path), "--out", str(out)])
+    assert code in (0, 2, 3, 4) and "Traceback" not in err.getvalue()
+    return code, err.getvalue(), out
+
+
+# what a "non-integer" edit puts into a cover or CoNLL-U field: int() takes the first three
+BAD_INTEGERS = ("+1", "1_0", "\u0663", "-1", "x")
+
+
+LINE_EDITS = st.lists(st.tuples(st.sampled_from(["drop", "duplicate", "swap", "non-integer"]),
+                                st.integers(0, 10**6), st.integers(0, 10**6)), max_size=4)
+FUZZ_SETTINGS = settings(max_examples=150, deadline=None,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 UG_EDITS = st.lists(st.tuples(
     st.sampled_from(["drop", "duplicate", "swap", "non-integer", "bad-flag", "back-edge"]),
     st.integers(0, 10**6), st.integers(0, 10**6)), max_size=4)
@@ -376,8 +406,7 @@ UG_EDITS = st.lists(st.tuples(
 class TestUgFuzz:
     """Mutated `.ug` files through `scenemt masks`: a clean exit, and the reference covers."""
 
-    @settings(max_examples=150, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @FUZZ_SETTINGS
     @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 12), min_size=1,
                                                            max_size=3), edits=UG_EDITS)
     # a line the first two edits empty, then edited again
@@ -386,21 +415,14 @@ class TestUgFuzz:
     def test_mutated_graphs_exit_cleanly(self, tmp_path, seed, sizes, edits):
         rng = np.random.default_rng(seed)
         text = "".join(random_ucca_text(rng, n) for n in sizes)
-        text = "\n".join(mutate_ug_lines(text.splitlines(), edits)) + "\n"
-        ug, out = tmp_path / "fuzz.ug", tmp_path / "out"
-        ug.write_text(text, encoding="utf-8")
-        shutil.rmtree(out, ignore_errors=True)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["masks", "--family", "binary", "--ucca", str(ug),
-                             "--out", str(out)])
-        assert code in (0, 2, 3, 4) and "Traceback" not in err.getvalue()
+        text = "\n".join(mutate_lines(text.splitlines(), edits, edit_ug_line)) + "\n"
+        code, err, out = masks_exit(tmp_path, text, "binary", "--ucca")
         if not ug_lines_well_formed(text):
             assert code == 3
         try:
             covers = [scan_extract_scenes(g) for g in parse_ucca_file(text)]
         except (ParseError, StructuralError) as exc:
-            assert code == 3 and str(exc) in err.getvalue()
+            assert code == 3 and str(exc) in err
             return
         assert code == 0
         for i, (g, cover) in enumerate(zip(parse_ucca_file(text), covers)):
@@ -611,8 +633,82 @@ class TestCoverFiles:
     def test_token_out_of_range_rejected(self):
         with pytest.raises(ParseError, match=r"line 2: scene token 5 outside 0\.\.1"):
             parse_cover_file("#L 2\nS P main=0 tokens=0,5\n")
-        with pytest.raises(ParseError, match=r"line 3: scene token -1 outside 0\.\.1"):
+        with pytest.raises(ParseError,
+                           match="line 3: malformed scene line: '-1' is not a non-negative integer"):
             parse_cover_file("#L 2\n\nS P main=0 tokens=0,-1\n")
+
+
+def random_cover_text(rng, max_len):
+    """A `#L` block of a random cover; each main= is a token or a run of tokens of its scene."""
+    cover = random_cover(rng, max_len)
+    lines = [f"#L {cover.length}"]
+    for scene in cover.scenes:
+        tokens = sorted(scene)
+        lo = hi = tokens[int(rng.integers(len(tokens)))]
+        while hi + 1 in scene and rng.random() < 0.5:
+            hi += 1
+        main = str(lo) if lo == hi else f"{lo}-{hi}"
+        lines.append(f"S {rng.choice(['P', 'S'])} main={main} tokens={','.join(map(str, tokens))}")
+    return "\n".join(lines) + "\n"
+
+
+def edit_cover_line(lines, kind, i, j):
+    """One of BAD_INTEGERS as line i's `#L` length, main= or one of its tokens=."""
+    f, text = lines[i].split(), BAD_INTEGERS[j % len(BAD_INTEGERS)]
+    if f[:1] == ["#L"] and len(f) > 1:
+        f[1] = text
+    elif f[:1] == ["S"] and len(f) == 4:
+        if j % 2:
+            f[2] = f"main={text}"
+        else:
+            tokens = f[3].removeprefix("tokens=").split(",")
+            tokens[j // 2 % len(tokens)] = text
+            f[3] = "tokens=" + ",".join(tokens)
+    lines[i] = " ".join(f)
+
+
+SCENE_LINE = re.compile("S [PS] main=([0-9]+)(?:-([0-9]+))? tokens=([0-9]+(?:,[0-9]+)*)")
+
+
+def cover_oracle(text):
+    """The covers of cover-file text, or None when some line is ill-formed: judged line by
+    line, each `S` line against the `#L` before it."""
+    covers = []
+    for line in text.splitlines():
+        f = line.split()
+        if not f:
+            continue
+        if f[0] == "#L" and len(f) == 2 and integer(f[1]):
+            covers.append(SceneCover(int(f[1]), []))
+            continue
+        m = SCENE_LINE.fullmatch(" ".join(f))
+        if not (m and covers):
+            return None
+        lo, hi = int(m[1]), int(m[2] or m[1])
+        tokens = frozenset(int(t) for t in m[3].split(","))
+        if lo > hi or max(tokens) >= covers[-1].length or not tokens >= set(range(lo, hi + 1)):
+            return None
+        covers[-1].scenes.append(tokens)
+    return covers
+
+
+class TestCoverFuzz:
+    """Mutated cover files through `scenemt masks`: exit 3 exactly when a line is
+    ill-formed, else each cover's mask."""
+
+    @FUZZ_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(2, 12), min_size=1,
+                                                           max_size=3), edits=LINE_EDITS)
+    def test_mutated_covers_exit_cleanly(self, tmp_path, seed, sizes, edits):
+        rng = np.random.default_rng(seed)
+        text = "".join(random_cover_text(rng, n) for n in sizes)
+        text = "\n".join(mutate_lines(text.splitlines(), edits, edit_cover_line)) + "\n"
+        code, _, out = masks_exit(tmp_path, text, "binary", "--cover")
+        covers = cover_oracle(text)
+        assert code == (3 if covers is None else 0)
+        for i, cover in enumerate(covers or ()):
+            written = (out / f"mask_{i:04d}.mask").read_text(encoding="utf-8")
+            assert written == write_mask(MaskSpec("binary").build(cover=cover))
 
 
 # -- dependency trees -----------------------------------------------------------
@@ -683,6 +779,73 @@ class TestConllu:
         np.testing.assert_array_equal(
             ud_tree_distances(g), floyd_warshall(g.length, edges)
         )
+
+
+def random_conllu_text(rng, n):
+    """A CoNLL-U sentence of a random n-token tree, with a comment, a blank line after it
+    and now and then a multiword range row."""
+    lines = ["# sent_id = fuzz"]
+    for i, h in enumerate(random_tree_heads(n, rng), start=1):
+        if i < n and rng.random() < 0.2:
+            lines.append(f"{i}-{i + 1}\tmw\t_\t_\t_\t_\t_\t_\t_\t_")
+        lines.append(f"{i}\tw\t_\t_\t_\t_\t{0 if h == ROOT_HEAD else h + 1}\tdep\t_\t_")
+    return "\n".join(lines) + "\n\n"
+
+
+def edit_conllu_line(lines, kind, i, j):
+    """One of BAD_INTEGERS as line i's ID or HEAD."""
+    cols = lines[i].split("\t")
+    if len(cols) == 10:
+        cols[6 if j % 2 else 0] = BAD_INTEGERS[j % len(BAD_INTEGERS)]
+    lines[i] = "\t".join(cols)
+
+
+def conllu_oracle(text):
+    """Each sentence's heads, 0-based with ROOT_HEAD for the root, or None when a line or a
+    sentence is ill-formed: rows whose ID holds '-' or '.' are skipped, the others must be
+    numbered 1, 2, ... with an ASCII-digit HEAD, and each sentence must be one tree."""
+    sentences, heads = [], []
+    for line in text.splitlines() + [""]:
+        cols = line.split("\t")
+        if line.strip() and not line.startswith("#"):
+            if len(cols) != 10:
+                return None
+            if "-" not in cols[0] and "." not in cols[0]:
+                if cols[0] != str(len(heads) + 1) or not integer(cols[6]):
+                    return None
+                heads.append(int(cols[6]) - 1)
+        elif not line.strip() and heads:
+            n = len(heads)
+            if heads.count(ROOT_HEAD) != 1 or max(heads) >= n:
+                return None
+            for node in range(n):  # every token reaches the root within n steps
+                for _ in range(n):
+                    node = heads[node] if node != ROOT_HEAD else node
+                if node != ROOT_HEAD:
+                    return None
+            sentences.append(heads)
+            heads = []
+    return sentences
+
+
+class TestConlluFuzz:
+    """Mutated CoNLL-U files through `scenemt masks`: exit 3 exactly when a line or a
+    sentence is ill-formed, else each tree's mask."""
+
+    @FUZZ_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 8), min_size=1,
+                                                           max_size=3), edits=LINE_EDITS)
+    def test_mutated_parses_exit_cleanly(self, tmp_path, seed, sizes, edits):
+        rng = np.random.default_rng(seed)
+        text = "".join(random_conllu_text(rng, n) for n in sizes)
+        text = "\n".join(mutate_lines(text.splitlines(), edits, edit_conllu_line)) + "\n"
+        code, _, out = masks_exit(tmp_path, text, "udiscal", "--conllu")
+        trees = conllu_oracle(text)
+        assert code == (3 if trees is None else 0)
+        for i, heads in enumerate(trees or ()):
+            written = (out / f"mask_{i:04d}.mask").read_text(encoding="utf-8")
+            tree = semgraph.UdGraph(len(heads), heads)
+            assert written == write_mask(MaskSpec("udiscal").build(ud=tree))
 
 
 def forest_heads(sizes, rng):
