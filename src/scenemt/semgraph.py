@@ -10,7 +10,7 @@ Three line-oriented inputs are understood here:
   without a parser. Every token lies in 0..n-1 and ``main=`` inside
   ``tokens=``; a line that breaks either rule raises ParseError naming it;
 * CoNLL-U, of which only ID and HEAD are consumed; IDs run 1, 2, ... in
-  each sentence, and rows whose ID holds '-' or '.' are skipped.
+  each sentence, and only rows whose ID reads i-j or i.j are skipped.
 
 A *scene* is any graph node with an outgoing P or S edge; its token set is
 every terminal reachable from it, remote edges included (that is what lets a
@@ -27,6 +27,7 @@ array form with no array larger than L x L.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -377,9 +378,7 @@ class UdGraph:
 
 def parse_conllu(text):
     """Parse CoNLL-U content into one UdGraph per sentence block."""
-    graphs = []
-    rows = []
-    lineno_of = []
+    graphs, rows, lineno_of = [], [], []
 
     def flush():
         nonlocal rows, lineno_of
@@ -409,8 +408,11 @@ def parse_conllu(text):
         if len(cols) != 10:
             raise ParseError(f"expected 10 columns, found {len(cols)}", line=lineno)
         tid = cols[0]
-        if "-" in tid or "." in tid:
-            continue  # multiword ranges ("i-j") and empty nodes ("i.j")
+        first, sep, last = tid.partition("-" if "-" in tid else ".")
+        if sep:  # skip multiword ranges ("i-j") and empty nodes ("i.j"), and no other id
+            with suppress(ValueError):
+                non_negative_int(first), non_negative_int(last)
+                continue
         # a row's position is its id, as the heads below assume
         if tid != str(len(rows) + 1):
             raise ParseError(f"token id {tid} where id {len(rows) + 1} belongs", line=lineno)

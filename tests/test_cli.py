@@ -154,9 +154,11 @@ class TestMasksCommand:
         assert f"bad.cover: line 3: {message}" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("second_id", ["1", "3", "\u0662", "x", "+2", "01", "02"],
+    @pytest.mark.parametrize("second_id", ["1", "3", "\u0662", "x", "+2", "01", "02", "-1",
+                                           "2-", "x.y", "1-2-3"],
                              ids=["repeated", "out-of-order", "arabic-indic-digit", "letter",
-                                  "signed", "leading-zero", "leading-zero-same-value"])
+                                  "signed", "leading-zero", "leading-zero-same-value",
+                                  "negative", "open-range", "letter-empty-node", "double-range"])
     def test_bad_conllu_id_exits_3_naming_file_line_and_id(self, tmp_path, capsys, second_id):
         conllu = tmp_path / "bad.conllu"
         conllu.write_text(CONLLU_TEXT.replace("2\tdog", f"{second_id}\tdog"))
@@ -855,12 +857,13 @@ class TestHeadSpecErrors:
         (["--sasa", "heads=1_0"], "'heads=1_0'"),
         (["--sasa", "layers=+1_0"], "'layers=+1_0'"),
         (["--sacra", "heads=\u0663"], "'heads=\u0663'"),
+        (["--sasa", "layers=2, 3"], "'layers=2, 3'"),
     ], ids=["layers=x-layers=x", "family=scaled;C=abc-C=abc", "heads=1,-heads=1,",
             "layers-layers", "normal-C=nan", "normal-C=inf", "bogus=1", "heads=0", "d-model=0",
             "d-ff=0", "heads=-2", "layers=-1", "d-ff=-4", "seed=-1", "eval-every=-1",
             "adam-eps=-1", "adam-eps=nan", "adam-eps=0", "adam-eps=inf", "target-accuracy=nan",
             "target-accuracy=0", "target-accuracy=1.5", "layers=+1", "heads=1_0", "layers=+1_0",
-            "sacra-heads=arabic-indic"])
+            "sacra-heads=arabic-indic", "layers=2,-space-3"])
     def test_bad_fragment_exits_2_naming_it(self, tmp_path, capsys, flags, message):
         src, trg, cov = tmp_path / "c.src", tmp_path / "c.trg", tmp_path / "c.cover"
         write_copy_task(src, trg, cov, pairs=4, seed=1)

@@ -403,15 +403,18 @@ UG_EDITS = st.lists(st.tuples(
     st.integers(0, 10**6), st.integers(0, 10**6)), max_size=4)
 
 
+# j is taken modulo the line count first: on the six lines of seed 0, sizes [2], 1406 becomes
+# 2, which picks "", so the first two edits empty line 0 and the third finds no field there
+EMPTYING_EDITS = [("non-integer", 0, 1406), ("non-integer", 0, 1406), ("non-integer", 0, 0)]
+
+
 class TestUgFuzz:
     """Mutated `.ug` files through `scenemt masks`: a clean exit, and the reference covers."""
 
     @FUZZ_SETTINGS
     @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 12), min_size=1,
                                                            max_size=3), edits=UG_EDITS)
-    # a line the first two edits empty, then edited again
-    @example(seed=0, sizes=[2], edits=[("non-integer", 0, 1406), ("non-integer", 0, 1406),
-                                       ("non-integer", 0, 0)])
+    @example(seed=0, sizes=[2], edits=EMPTYING_EDITS)
     def test_mutated_graphs_exit_cleanly(self, tmp_path, seed, sizes, edits):
         rng = np.random.default_rng(seed)
         text = "".join(random_ucca_text(rng, n) for n in sizes)
@@ -430,6 +433,13 @@ class TestUgFuzz:
             written = (out / f"mask_{i:04d}.mask").read_text(encoding="utf-8")
             assert written == write_mask(MaskSpec("binary").build(cover=cover))
         assert len(list(out.glob("*.mask"))) == len(covers)
+
+    def test_example_edits_empty_a_line_then_meet_it(self):
+        lines = random_ucca_text(np.random.default_rng(0), 2).splitlines()
+        assert len(lines) == 6 and lines[0] == "#L 2"
+        assert mutate_lines(lines, EMPTYING_EDITS[:1], edit_ug_line)[0] == "#L "
+        assert mutate_lines(lines, EMPTYING_EDITS[:2], edit_ug_line)[0] == ""
+        assert mutate_lines(lines, EMPTYING_EDITS, edit_ug_line)[0] == ""
 
 
 # -- scene distances -----------------------------------------------------------
@@ -800,9 +810,12 @@ def edit_conllu_line(lines, kind, i, j):
     lines[i] = "\t".join(cols)
 
 
+RANGE_OR_EMPTY_ID = re.compile("[0-9]+[-.][0-9]+")
+
+
 def conllu_oracle(text):
     """Each sentence's heads, 0-based with ROOT_HEAD for the root, or None when a line or a
-    sentence is ill-formed: rows whose ID holds '-' or '.' are skipped, the others must be
+    sentence is ill-formed: rows whose ID reads i-j or i.j are skipped, the others must be
     numbered 1, 2, ... with an ASCII-digit HEAD, and each sentence must be one tree."""
     sentences, heads = [], []
     for line in text.splitlines() + [""]:
@@ -810,7 +823,7 @@ def conllu_oracle(text):
         if line.strip() and not line.startswith("#"):
             if len(cols) != 10:
                 return None
-            if "-" not in cols[0] and "." not in cols[0]:
+            if not RANGE_OR_EMPTY_ID.fullmatch(cols[0]):
                 if cols[0] != str(len(heads) + 1) or not integer(cols[6]):
                     return None
                 heads.append(int(cols[6]) - 1)
